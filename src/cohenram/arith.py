@@ -19,7 +19,6 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "BigRational",
     "FactoredInteger",
     "SieveTable",
     "InternalAssertionError",
@@ -36,16 +35,12 @@ __all__ = [
     "zeta",
     "zeta_upper_bound",
     "primes_upto",
+    "multiplicative_table",
     "sieve",
     "shared_sieve",
     "write_sieve_cache",
     "read_sieve_cache",
 ]
-
-
-# Exact rationals, always reduced, denominator > 0, canonical zero 0/1.
-# fractions.Fraction guarantees precisely this, so it is used as-is.
-BigRational = Fraction
 
 
 class InternalAssertionError(ArithmeticError):
@@ -361,42 +356,36 @@ class SieveTable:
         return int(self.values[n])
 
 
-def _linear_sieve(limit: int, prime_power_value) -> list:
-    """Linear sieve for a multiplicative function given its values on
-    prime powers.  Each composite is visited exactly once through its
-    smallest prime factor."""
-    vals = [0] * (limit + 1)
-    if limit >= 1:
-        vals[1] = 1
-    spp = [0] * (limit + 1)  # p^e part of i for its smallest prime p
-    comp = bytearray(limit + 1)
-    primes = []
-    for i in range(2, limit + 1):
-        if not comp[i]:
-            primes.append(i)
-            spp[i] = i
-            vals[i] = prime_power_value(i, 1)
-        vi = vals[i]
-        for p in primes:
-            ip = i * p
-            if ip > limit:
-                break
-            comp[ip] = 1
-            if i % p == 0:
-                sp = spp[i] * p
-                spp[ip] = sp
-                if sp == ip:
-                    e = 0
-                    t = ip
-                    while t > 1:
-                        t //= p
-                        e += 1
-                    vals[ip] = prime_power_value(p, e)
-                else:
-                    vals[ip] = vals[ip // sp] * vals[sp]
-                break
-            spp[ip] = p
-            vals[ip] = vi * prime_power_value(p, 1)
+def multiplicative_table(limit: int, local, dtype=np.float64) -> np.ndarray:
+    """f(n) for n = 0..limit (f(0) = 0) of the multiplicative f with
+    f(p^e) = local(p, e), as a numpy array of the given dtype.
+
+    Each prime p <= sqrt(limit) multiplies the multiples of p by one
+    strided update, local(p, e) at the multiples of p^e.  The primes
+    above sqrt(limit) divide n at most once and only with a cofactor
+    j < p, so they are applied as one indexed update per j.  Every entry
+    takes its factors in increasing prime order, so float tables are
+    identical run to run; dtype=object keeps exact Python ints.
+    """
+    vals = np.ones(limit + 1, dtype=dtype)
+    vals[0] = 0
+    primes = primes_upto(limit)
+    root = math.isqrt(limit)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    scratch = np.empty(limit // 2, dtype=dtype)
+    for p in primes[:n_small].tolist():
+        fac = scratch[: limit // p]  # fac[i] multiplies n = (i + 1) * p
+        fac.fill(local(p, 1))
+        q, e = p, 2
+        while q * p <= limit:  # q = p^(e-1)
+            fac[q - 1 :: q] = local(p, e)
+            q, e = q * p, e + 1
+        vals[p::p] *= fac
+    large = primes[n_small:]
+    at_large = np.array([local(p, 1) for p in large.tolist()], dtype=dtype)
+    for j in range(1, limit // (root + 1) + 1):
+        count = int(np.searchsorted(large, limit // j, side="right"))
+        vals[j * large[:count]] *= at_large[:count]
     return vals
 
 
@@ -414,13 +403,18 @@ def _spf_values(limit: int) -> np.ndarray:
     return spf
 
 
+def _table_bytes(limit: int, itemsize: int) -> int:
+    """Peak bytes of multiplicative_table: the output plus its scratch."""
+    return itemsize * (limit + 1 + limit // 2)
+
+
 def _estimate_bytes(kind: str, limit: int, k: int | None) -> int:
     if kind == "mobius":
-        return limit + 1
+        return _table_bytes(limit, 1)
     if kind == "smallest-prime-factor":
         return 8 * (limit + 1)
-    # jordan: list slots + int objects sized by k * log2(limit) bits,
-    # roughly doubled for the scratch arrays the sieve itself needs
+    # jordan: array and tuple slots + int objects sized by k * log2(limit)
+    # bits, roughly doubled for the scratch multiplicative_table needs
     digits = max(1, math.ceil(k * max(limit, 2).bit_length() / 30))
     return 2 * (limit + 1) * (36 + 4 * digits)
 
@@ -430,9 +424,8 @@ def sieve(kind: str, limit: int, *, k: int | None = None,
     """Build a dense SieveTable of the requested kind on 1..limit.
 
     kind is one of "mobius", "jordan" (requires k >= 1), or
-    "smallest-prime-factor" (alias "spf").  Construction is
-    O(limit) / O(limit log log limit) and single-threaded; the result is
-    immutable.
+    "smallest-prime-factor" (alias "spf").  Mobius and jordan come from
+    multiplicative_table, jordan as exact ints; the result is immutable.
     """
     if kind == "spf":
         kind = "smallest-prime-factor"
@@ -453,13 +446,13 @@ def sieve(kind: str, limit: int, *, k: int | None = None,
                 f"budget allows {memory_budget}")
 
     if kind == "mobius":
-        vals = _linear_sieve(limit, lambda p, e: -1 if e == 1 else 0)
-        arr = np.array(vals, dtype=np.int8)
+        arr = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
         arr.flags.writeable = False
         return SieveTable(kind, None, limit, arr)
     if kind == "jordan":
-        vals = _linear_sieve(limit, lambda p, e: p ** (k * e) - p ** (k * (e - 1)))
-        return SieveTable(kind, k, limit, tuple(vals))
+        vals = multiplicative_table(
+            limit, lambda p, e: p ** (k * e) - p ** (k * (e - 1)), object)
+        return SieveTable(kind, k, limit, tuple(vals.tolist()))
     spf = _spf_values(limit)
     spf.flags.writeable = False
     return SieveTable(kind, None, limit, spf)

@@ -5,8 +5,8 @@ The summation side is
 
     L(N) = sum_{n <= N} J_a(n)/n^a * J_b(n+h)/(n+h)^b,
 
-computed from exact sieved Jordan values.  The target side is the
-truncated Euler product
+computed from float64 tables of the Jordan ratios.  The target side
+is the truncated Euler product
 
     prod_{p | m} [(1 - p^-(s+a))(1 - p^-(s+b)) + (p^s - 1)/p^(a+b+2s)]
     * prod_{p not| m} [(1 - p^-(s+a))(1 - p^-(s+b)) - 1/p^(a+b+2s)],
@@ -39,12 +39,12 @@ from .arith import (
     InternalAssertionError,
     MemoryBudgetError,
     _bucket,
-    _estimate_bytes,
+    _table_bytes,
     factorize,
     jordan,
     mobius,
+    multiplicative_table,
     primes_upto,
-    shared_sieve,
     zeta,
 )
 from .cohen import crs_fast, shift_decompose
@@ -169,14 +169,11 @@ class AsymptoticReport:
 
 @lru_cache(maxsize=8)
 def _ratio_array(k: int, bucket: int) -> np.ndarray:
-    """J_k(n)/n^k for n = 1..bucket as float64, each entry one correctly
-    rounded division of exact integers."""
-    table = shared_sieve("jordan", bucket, k=k)
-    out = np.empty(bucket + 1)
-    out[0] = 0.0
-    vals = table.values
-    for n in range(1, bucket + 1):
-        out[n] = vals[n] / n**k
+    """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = 0..bucket as float64
+    (entry 0 is 0), built by multiplicative_table.  Each entry is a
+    product of omega(n) rounded factors, within 2 omega(n) 2^-53
+    relative of the exact value."""
+    out = multiplicative_table(bucket, lambda p, e: 1.0 - p ** -k)
     out.flags.writeable = False
     return out
 
@@ -189,16 +186,16 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
             ) -> list[tuple[int, float]]:
     """Checkpointed partial sums of J_a(n)/n^a * J_b(n+h)/(n+h)^b.
 
-    Jordan values come from exact sieve tables to N+h and are converted
-    per term; accumulation is fsum-compensated over fixed-size chunks,
-    so results are identical run to run.
+    The ratios come from float64 tables to N+h built by
+    multiplicative_table (see _ratio_array for their error bound), one
+    table per distinct exponent; the budget counts those tables and the
+    scratch of multiplicative_table.  Accumulation is fsum-compensated
+    over fixed-size chunks, so results are identical run to run.
     """
     a, b, h, N = query.a, query.b, query.h, query.N
     bucket = _bucket(N + h)
     if memory_budget is not None:
-        need = _estimate_bytes("jordan", bucket, a) + 8 * (bucket + 1)
-        if a != b:
-            need += _estimate_bytes("jordan", bucket, b) + 8 * (bucket + 1)
+        need = _table_bytes(bucket, 8) + (8 * (bucket + 1) if a != b else 0)
         if need > memory_budget:
             raise MemoryBudgetError(
                 f"jordan tables to {N + h} need ~{need} bytes, "

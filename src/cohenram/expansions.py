@@ -27,7 +27,7 @@ from .arith import (
     shared_sieve,
     zeta,
 )
-from .cohen import crs_fast, kvector_sum
+from .cohen import DIRECT_TERM_GUARD, crs_fast, kvector_sum
 
 __all__ = [
     "ExpansionQuery",
@@ -175,20 +175,27 @@ def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
 
     via brute-force c^s(n, r) for r <= R.  The vector enumeration is
     exponential in s, so R stays small and the acceptance envelope is a
-    loose 10% relative error at the final cutoff.
+    loose 10% relative error at the final cutoff.  The enumeration visits
+    sum_{r <= R, mu(r) != 0} r^s tuples; that total is bounded by
+    DIRECT_TERM_GUARD before any of them is visited.
     """
     query = ExpansionQuery(s, k, n, R)
-    if R**s > 10**7:
-        raise ValueError(f"R^s = {R**s} exceeds the 10^7 enumeration guard")
-    mu = shared_sieve("mobius", R)
+    signed, tuples = [], 0  # (r, mu(r)) for squarefree r <= R
+    for r in range(1, R + 1):
+        mu = mobius(r)
+        if mu:
+            tuples += r**s
+            if tuples > DIRECT_TERM_GUARD:
+                raise ValueError(
+                    f"k-vector enumeration to R = {R} exceeds the "
+                    f"{DIRECT_TERM_GUARD}-tuple guard at r = {r}")
+            signed.append((r, mu))
     jt = shared_sieve("jordan", R, k=s + k)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
 
     terms = [0.0] * (R + 1)
-    for r in range(1, R + 1):
-        m = mu[r]
-        if m:
-            terms[r] = m * kvector_sum(s, n, r) / jt[r]
+    for r, mu in signed:
+        terms[r] = mu * kvector_sum(s, n, r) / jt[r]
 
     partials = tuple((c, math.fsum(terms[1 : c + 1])) for c in _checkpoints(R))
     final_err = abs(partials[-1][1] - target)

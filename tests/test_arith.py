@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from cohenram.arith import (
     is_prime,
     jordan,
     mobius,
+    multiplicative_table,
     sieve,
     shared_sieve,
     tau,
@@ -25,6 +27,7 @@ from cohenram.arith import (
     zeta,
     zeta_upper_bound,
 )
+from cohenram.asymptotics import _ratio_array
 
 M61 = 2**61 - 1
 
@@ -296,6 +299,32 @@ def test_sieve_memory_budget():
     assert sieve("mobius", 100, memory_budget=10**6)[1] == 1
 
 
+# edges between the strided small-prime updates and the batched large
+# primes: 9409 = 97^2 has a prime at sqrt(limit), 9973 is itself prime
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 25, 9409, 9973, 10**4])
+def test_multiplicative_table_matches_pointwise(limit):
+    mu = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
+    assert mu.dtype == np.int8 and mu[0] == 0
+    assert mu[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
+    for k in (1, 3):
+        jt = multiplicative_table(
+            limit, lambda p, e: p ** (k * e) - p ** (k * (e - 1)), object)
+        assert jt[1:].tolist() == [jordan(k, n) for n in range(1, limit + 1)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_ratio_array_error_bound(k):
+    # each entry is a product of omega(n) rounded factors 1 - p^-k; the
+    # stated bound is 2 omega(n) 2^-53 relative to the exact J_k(n)/n^k
+    bucket = 1003520  # the bucket lhs_sum uses at N = 10^6
+    ratios = _ratio_array(k, bucket)
+    assert ratios[0] == 0.0 and ratios[1] == 1.0
+    for n in [*range(1, 2 * 10**4 + 1), *range(bucket - 2 * 10**3 + 1, bucket + 1)]:
+        exact = Fraction(jordan(k, n), n**k)
+        omega = len(factorize(n).factors)
+        assert abs(Fraction(ratios[n]) - exact) <= 2 * omega * exact / 2**53, n
+
+
 def test_shared_sieve_covers_request():
     t = shared_sieve("jordan", 5000, k=2)
     assert t.limit >= 5000
@@ -320,6 +349,7 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_rejects_wide_entries(tmp_path):
     wide = sieve("jordan", 12, k=40)  # 11^40 is far beyond 64 bits
+    assert wide[11] == 11**40 - 1 and wide[12] == jordan(40, 12)
     with pytest.raises(OverflowError, match="bits"):
         write_sieve_cache(wide, tmp_path / "wide.bin")
 

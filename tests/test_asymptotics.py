@@ -85,6 +85,12 @@ def test_lhs_memory_budget():
         lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**6), memory_budget=1000)
 
 
+def test_lhs_budget_counts_float_tables():
+    # one float64 table to 102,400 plus its scratch array is ~1.2 MB
+    got = lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**5), memory_budget=4_000_000)
+    assert got[-1][0] == 10**5
+
+
 # ---------------------------------------------------------------------------
 # product side
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -187,9 +188,13 @@ def test_help_lists_every_command(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same cohenram as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "cohenram", "sum", "--r", "2", "--s", "2", "--n", "4"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
 

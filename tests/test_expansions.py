@@ -1,6 +1,7 @@
 import cmath
 import json
 import math
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -164,3 +165,9 @@ def test_sivaramakrishnan_two_vector_case():
 def test_sivaramakrishnan_guard():
     with pytest.raises(ValueError, match="guard"):
         sivaramakrishnan_check(3, 1, 1, 500)
+    # R^s = 3162^2 passes a bound on R^s alone, but the enumeration would
+    # visit sum over squarefree r <= R of r^2, about 6e9 tuples
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard"):
+        sivaramakrishnan_check(2, 1, 2, 3162)
+    assert time.perf_counter() - start < 1.0
