@@ -34,9 +34,9 @@ q = AsymptoticQuery(s, a, b, h, N=10**5, prime_cutoff=10**4)
 
 print("series vs product (same constant, two truncations):")
 prod = rhs_product(q)
-fa, fb = expansion_coefficients(s, a), expansion_coefficients(s, b)
+fa, fb = expansion_coefficients(s, a, 1000), expansion_coefficients(s, b, 1000)
 for R in (10, 100, 1000):
-    series = general_main_term(fa, fb, s, h, R)
+    series = general_main_term(fa[: R + 1], fb[: R + 1], s, h)
     print(f"   R={R:>5}: series = {series:.12f}   product = {prod.value:.12f}"
           f"   |diff| = {abs(series - prod.value):.2e}")
 print(f"   product tail bound beyond P={prod.spec.prime_cutoff}: {prod.tail_bound:.2e}")

@@ -13,7 +13,7 @@ is the truncated Euler product
 
 where h = m^s * k with k s-power-free, plus the generic main-term
 series sum_r fhat(r) ghat(r) c_r^s(h) for caller-supplied coefficient
-functions.  ``asymptotic_verify`` reports the ratio trajectory
+tables.  ``asymptotic_verify`` reports the ratio trajectory
 L(N)/(N * product) so agreement or disagreement is measured, not
 assumed.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .arith import (
     _bucket,
     _table_bytes,
     factorize,
-    jordan,
-    mobius,
     multiplicative_table,
     primes_upto,
     zeta,
@@ -326,32 +323,37 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
                             tolerance, converged, notes)
 
 
-def general_main_term(fhat: Callable[[int], float], ghat: Callable[[int], float],
-                      s: int, h: int, R: int) -> float:
-    """sum_{r <= R} fhat(r) * ghat(r) * c_r^s(h) for caller-supplied
-    coefficient functions."""
-    if s < 1 or h < 1 or R < 1:
-        raise ValueError(f"s, h, R must be >= 1, got {(s, h, R)}")
-    terms = []
-    for r in range(1, R + 1):
-        c = fhat(r) * ghat(r)
-        if c:
-            terms.append(c * crs_fast(r, s, h))
-    return math.fsum(terms)
+def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> float:
+    """sum_{r <= R} fhat[r] * ghat[r] * c_r^s(h) for coefficient tables
+    fhat, ghat on r = 0..R, R = len(fhat) - 1 (entry 0 is ignored), as
+    one fsum over the terms with a nonzero weight fhat[r] * ghat[r].
+
+    c_r^s(h) is multiplicative in r; it is tabulated exactly, as Python
+    ints, from crs_fast at the prime powers up to R, so a large h or s
+    cannot wrap a fixed-width integer.
+    """
+    if s < 1 or h < 1:
+        raise ValueError(f"s and h must be >= 1, got {(s, h)}")
+    if len(fhat) != len(ghat) or len(fhat) < 2:
+        raise ValueError(
+            f"coefficient tables must share a length >= 2, got {len(fhat)} and {len(ghat)}")
+    weights = np.multiply(fhat[1:], ghat[1:])
+    support = np.flatnonzero(weights)
+    crs = multiplicative_table(len(fhat) - 1, lambda p, e: crs_fast(p**e, s, h), object)
+    return math.fsum(w * c for w, c in zip(weights[support].tolist(),
+                                          crs[support + 1].tolist()))
 
 
-def expansion_coefficients(s: int, power: int) -> Callable[[int], float]:
+def expansion_coefficients(s: int, power: int, R: int) -> np.ndarray:
     """The Jordan-ratio expansion coefficients
-    r -> mu(r) / (J_{s+power}(r) * zeta(s+power))."""
-    if s < 1 or power < 1:
-        raise ValueError(f"s and power must be >= 1, got {(s, power)}")
-    z = zeta(s + power, _ZETA_PRECISION)
-
-    def fhat(r: int) -> float:
-        fi = factorize(r)
-        mu = mobius(fi)
-        if not mu:
-            return 0.0
-        return mu / (jordan(s + power, fi) * z)
-
-    return fhat
+    r -> mu(r) / (J_{s+power}(r) * zeta(s+power)) for r = 0..R (entry 0
+    is 0), as a read-only float64 table built by multiplicative_table.
+    Each entry is a product of omega(r) rounded factors, divided once by
+    zeta."""
+    if min(s, power, R) < 1:
+        raise ValueError(f"s, power, R must be >= 1, got {(s, power, R)}")
+    k = s + power
+    out = multiplicative_table(R, lambda p, e: -1 / (p**k - 1) if e == 1 else 0.0)
+    out /= zeta(k, _ZETA_PRECISION)
+    out.flags.writeable = False
+    return out

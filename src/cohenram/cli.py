@@ -6,9 +6,8 @@ input (one-line diagnostic on stderr), 2 internal assertion failure.
 Output is deterministic: the same invocation produces byte-identical
 bytes, JSON included.
 
-Only two settings may come from the environment (COHENRAM_THREADS and
-COHENRAM_MEMORY_BUDGET); all scientific parameters must be spelled out
-as flags.
+Only one setting may come from the environment (COHENRAM_MEMORY_BUDGET);
+all scientific parameters must be spelled out as flags.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     output: str = "plain"
-    threads: int = 1
     memory_budget: int | None = None
 
 
@@ -89,9 +87,6 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("plain", "json", "csv"),
                         default="plain", help="report format (default plain)")
-    common.add_argument("--threads", type=int, default=None,
-                        help="worker count (default COHENRAM_THREADS or 1); "
-                             "evaluation is sequential and deterministic either way")
     common.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
                         help="cap on sieve table memory "
                              "(default COHENRAM_MEMORY_BUDGET or unlimited)")
@@ -163,7 +158,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--a", type=int, required=True)
     q.add_argument("--b", type=int, required=True)
     q.add_argument("--h", type=int, required=True)
-    q.add_argument("--R", type=int, required=True, help="series cutoff")
+    q.add_argument("--R", type=int, required=True,
+                   help="series cutoff, and also the prime cutoff of the "
+                        "Euler product it is compared to")
 
     q = sub.add_parser("sieve-cache", parents=[common],
                        help="build a sieve table and write the binary cache file")
@@ -188,17 +185,12 @@ def parse_config(argv=None) -> RunConfig:
     ns = vars(_build_parser().parse_args(argv))
     command = ns.pop("command")
     output = ns.pop("output")
-    threads = ns.pop("threads")
-    if threads is None:
-        threads = _env_int("COHENRAM_THREADS") or 1
-    if threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {threads}")
     budget = ns.pop("memory_budget")
     if budget is None:
         budget = _env_int("COHENRAM_MEMORY_BUDGET")
     if budget is not None and budget < 1:
         raise _UsageError(f"--memory-budget must be >= 1, got {budget}")
-    return RunConfig(command, ns, output, threads, budget)
+    return RunConfig(command, ns, output, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +336,9 @@ def _run_asymptotic(config: RunConfig) -> int:
 def _run_main_term(config: RunConfig) -> int:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
-    series = general_main_term(expansion_coefficients(s, a),
-                               expansion_coefficients(s, b), s, h, R)
+    fa = expansion_coefficients(s, a, R)
+    fb = fa if b == a else expansion_coefficients(s, b, R)
+    series = general_main_term(fa, fb, s, h)
     product = rhs_product(AsymptoticQuery(s, a, b, h, 1, R)).value
     diff = abs(series - product)
     if config.output == "json":

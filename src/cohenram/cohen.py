@@ -104,7 +104,8 @@ def crs_direct(r: int, s: int, n: int) -> int:
     real/imaginary accumulation, and asserts the result is within 1e-6
     of an integer.  Guarded to r^s <= 10^7 terms.
     """
-    CohenSumQuery(r, s, n)
+    if r < 1 or s < 1 or n < 0:
+        CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
     m = r**s
     if m > DIRECT_TERM_GUARD:
         raise ValueError(f"crs_direct guard: r^s = {m} exceeds {DIRECT_TERM_GUARD}")
@@ -147,7 +148,8 @@ def crs_divisor_sum(r: int, s: int, n: int) -> int:
 
     Exact integers throughout; the mid-speed oracle.
     """
-    CohenSumQuery(r, s, n)
+    if r < 1 or s < 1 or n < 0:
+        CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
     total = 0
     for d in divisors(r):
         ds = d**s
@@ -163,9 +165,12 @@ def crs_fast(r: int, s: int, n: int) -> int:
                  = -p^(s(e-1))          if p^(s(e-1)) | n but p^(se) does not,
                  = 0                    otherwise.
 
-    This is the production evaluator.
+    This is the production evaluator.  The arguments are checked inline;
+    building a CohenSumQuery on every call is a measurable share of the
+    exact local-factor grid.
     """
-    CohenSumQuery(r, s, n)
+    if r < 1 or s < 1 or n < 0:
+        CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
     v = 1
     for p, e in factorize(r).factors:
         pse = p ** (s * e)

@@ -19,11 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from .arith import (
     divisor_sigma,
     is_prime,
     jordan,
     mobius,
+    multiplicative_table,
     shared_sieve,
     zeta,
 )
@@ -90,29 +93,38 @@ def _checkpoints(final: int) -> list[int]:
     return sorted({c for c in (10, 100, 1000) if c < final} | {final})
 
 
+def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
+    """mu(q) c_q^s(n^s) / J_{s+k}(q) for q = 0..Q as float64 (entry 0 is
+    0), built by multiplicative_table from its value
+    -c_p^s(n^s) / J_{s+k}(p) at each prime; non-squarefree q give 0.
+    Each entry is a product of omega(q) rounded factors, within
+    2 omega(q) 2^-53 relative of the exact value."""
+    ns = n**s
+
+    def local(p: int, e: int) -> float:
+        return -crs_fast(p, s, ns) / jordan(s + k, p) if e == 1 else 0.0
+
+    return multiplicative_table(Q, local)
+
+
 def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
     """Partial sums S_Q = sum_{q <= Q squarefree} mu(q) c_q^s(n^s) / J_{s+k}(q)
     against the target zeta(s+k) * J_k(n)/n^k.
 
-    Non-squarefree q contribute nothing (mu = 0) and are skipped.  The
-    convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)): terms
-    decay like q^-(s+k) with an n-dependent constant.
+    The terms are multiplicative in q and come from one
+    multiplicative_table (see _expansion_terms for their error bound).
+    The convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)):
+    terms decay like q^-(s+k) with an n-dependent constant.
     """
     s, k, n, Q = query.s, query.k, query.n, query.Q
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    mu = shared_sieve("mobius", Q)
-    jt = shared_sieve("jordan", Q, k=s + k)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
+    terms = _expansion_terms(s, k, n, Q)
 
-    terms = [0.0] * (Q + 1)
-    for q in range(1, Q + 1):
-        m = mu[q]
-        if m:
-            terms[q] = m * crs_fast(q, s, ns) / jt[q]
-
-    partials = tuple((c, math.fsum(terms[1 : c + 1])) for c in _checkpoints(Q))
+    partials = tuple((c, math.fsum(terms[1 : c + 1].tolist()))
+                     for c in _checkpoints(Q))
     final_err = abs(partials[-1][1] - target)
     tol = max(1e-3, 2.0 * divisor_sigma(n) ** s * Q ** (1 - s - k))
     return ExpansionReport(query, target, partials, final_err, tol, final_err < tol)
@@ -128,6 +140,12 @@ def local_factor_exact(s: int, k: int, n: int,
     1 + mu(p) c_p^s(n^s) / J_{s+k}(p) over p in P.  The two are equal as
     exact rationals; this is the finite skeleton of the series-to-product
     step, with no floating point involved.
+
+    Both sides are accumulated as integers over one common denominator,
+    J_{s+k}(Q_P) with Q_P the product of P: every q divides Q_P and is
+    coprime to Q_P/q, so J_{s+k}(Q_P)/J_{s+k}(q) = J_{s+k}(Q_P/q).  The
+    lhs evaluates crs_fast at every subset's q, composite q included,
+    so it is never derived from the per-prime factors of the rhs.
     """
     if min(s, k, n) < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
@@ -138,16 +156,18 @@ def local_factor_exact(s: int, k: int, n: int,
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
+    sk, qp = s + k, math.prod(pset)
 
-    lhs = Fraction(0)
-    for size in range(len(pset) + 1):
-        for subset in combinations(pset, size):
-            q = math.prod(subset)
-            lhs += Fraction((-1) ** size * crs_fast(q, s, ns), jordan(s + k, q))
+    num = 0
+    for size in range(len(pset) + 1):  # mu(q) = (-1)^size
+        part = sum(crs_fast(q, s, ns) * jordan(sk, qp // q)
+                   for q in map(math.prod, combinations(pset, size)))
+        num += -part if size % 2 else part
+    lhs = Fraction(num, jordan(sk, qp))
 
-    rhs = Fraction(1)
-    for p in pset:
-        rhs *= 1 + Fraction(-crs_fast(p, s, ns), jordan(s + k, p))
+    jp = [jordan(sk, p) for p in pset]
+    rhs = Fraction(math.prod(j - crs_fast(p, s, ns) for p, j in zip(pset, jp)),
+                   math.prod(jp))
     return lhs, rhs
 
 

@@ -167,8 +167,8 @@ def test_criterion_6_series_product_consistency():
     worst = 0.0
     for s, a, b, h in GRID_5:
         q = AsymptoticQuery(s, a, b, h, 1, prime_cutoff=10**4)
-        series = general_main_term(expansion_coefficients(s, a),
-                                   expansion_coefficients(s, b), s, h, 10**4)
+        series = general_main_term(expansion_coefficients(s, a, 10**4),
+                                   expansion_coefficients(s, b, 10**4), s, h)
         worst = max(worst, abs(series - rhs_product(q).value))
     ok = worst < 1e-6
     _verdict(6, "main-term series vs Euler product", ok,

@@ -3,10 +3,11 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import jordan, tau, zeta
+from cohenram.arith import jordan, mobius, tau, zeta
 from cohenram.cohen import crs_fast, shift_decompose
 from cohenram.asymptotics import (
     AsymptoticQuery,
@@ -272,24 +273,64 @@ def test_ratio_approaches_one_on_reference_grid():
 # generic main term
 
 def test_general_main_term_indicator():
-    ind = lambda r: 1.0 if r == 1 else 0.0
+    ind = np.zeros(51)
+    ind[1] = 1.0
     for s, h in [(1, 3), (2, 12), (3, 5)]:
-        assert general_main_term(ind, ind, s, h, 50) == 1.0  # c_1^s(h) = 1
+        assert general_main_term(ind, ind, s, h) == 1.0  # c_1^s(h) = 1
+
+
+def test_general_main_term_validation():
+    fa = expansion_coefficients(2, 3, 10)
+    with pytest.raises(ValueError, match="length"):
+        general_main_term(fa, fa[:5], 2, 12)
+    with pytest.raises(ValueError, match="length"):
+        general_main_term(fa[:1], fa[:1], 2, 12)
+    with pytest.raises(ValueError):
+        general_main_term(fa, fa, 2, 0)
+    with pytest.raises(ValueError):
+        expansion_coefficients(2, 3, 0)
 
 
 def test_expansion_coefficients_values():
-    fhat = expansion_coefficients(2, 3)
-    assert fhat(1) == pytest.approx(1 / zeta(5), rel=1e-14)
-    assert fhat(4) == 0.0
-    assert fhat(2) == pytest.approx(-1 / (jordan(5, 2) * zeta(5)), rel=1e-14)
+    fhat = expansion_coefficients(2, 3, 10)
+    assert fhat[1] == pytest.approx(1 / zeta(5), rel=1e-14)
+    assert fhat[4] == 0.0
+    assert fhat[2] == pytest.approx(-1 / (jordan(5, 2) * zeta(5)), rel=1e-14)
+    assert not fhat.flags.writeable
+
+
+def test_general_main_term_matches_exact_sum():
+    # the table sum against mu(r)^2 c_r^s(h) / (J_{s+a}(r) J_{s+b}(r)),
+    # accumulated as an exact Fraction and divided by zeta(s+a) zeta(s+b)
+    R = 300
+    for s, a, b, h in [(2, 3, 3, 12), (2, 4, 3, 4), (1, 3, 2, 30), (3, 4, 4, 2**9 * 3**3)]:
+        exact = sum(Fraction(mobius(r) ** 2 * crs_fast(r, s, h),
+                             jordan(s + a, r) * jordan(s + b, r))
+                    for r in range(1, R + 1))
+        want = float(exact) / (zeta(s + a) * zeta(s + b))
+        got = general_main_term(expansion_coefficients(s, a, R),
+                                expansion_coefficients(s, b, R), s, h)
+        assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_general_main_term_large_shift_is_exact():
+    # c_r^s(h) = r^s prod_p (1 - p^-s) for r = 2310 = 2*3*5*7*11, s = 8
+    # and h = r^8: about 8e26, far beyond int64; the table keeps it exact
+    s, r = 8, 2 * 3 * 5 * 7 * 11
+    h = r**s
+    want = crs_fast(r, s, h)
+    assert want == jordan(s, r) and want > 2**63
+    ones, only_r = np.ones(r + 1), np.zeros(r + 1)
+    only_r[r] = 1.0
+    assert general_main_term(ones, only_r, s, h) == float(want)
 
 
 def test_series_approaches_product():
     for s, a, b, h in [(2, 3, 3, 12), (2, 4, 3, 4)]:
         q = AsymptoticQuery(s, a, b, h, 1, prime_cutoff=10**5)
         target = rhs_product(q).value
-        fa, fb = expansion_coefficients(s, a), expansion_coefficients(s, b)
-        diffs = [abs(general_main_term(fa, fb, s, h, R) - target)
+        fa, fb = expansion_coefficients(s, a, 100), expansion_coefficients(s, b, 100)
+        diffs = [abs(general_main_term(fa[: R + 1], fb[: R + 1], s, h) - target)
                  for R in (5, 20, 100)]
         assert diffs[0] > diffs[1] > diffs[2]
 
@@ -297,7 +338,7 @@ def test_series_approaches_product():
 def test_coefficient_envelope_bound():
     # |fhat(r)| r^(s/2) tau_s(r^s) <= 1/r^(a - s/2), the summable envelope
     s, a = 2, 3
-    fhat = expansion_coefficients(s, a)
+    fhat = expansion_coefficients(s, a, 499)
     for r in range(1, 500):
-        lhs = abs(fhat(r)) * r ** (s / 2) * tau(r)  # tau_s(r^s) = tau(r)
+        lhs = abs(fhat[r]) * r ** (s / 2) * tau(r)  # tau_s(r^s) = tau(r)
         assert lhs <= r ** (s / 2 - a) * (1 + 1e-12)

@@ -162,7 +162,6 @@ def test_internal_assertion_exits_two(capsys, monkeypatch):
 
 
 def test_env_overrides(capsys, monkeypatch):
-    monkeypatch.setenv("COHENRAM_THREADS", "4")
     monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "1000")
     code, _, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "3",
                            "--h", "1", "--N", "100000")
@@ -171,9 +170,12 @@ def test_env_overrides(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "jordan", "--k", "1", "--n", "6",
                            "--memory-budget", str(10**9))
     assert code == 0 and out == "2\n"
-    monkeypatch.setenv("COHENRAM_THREADS", "zero")
+
+
+def test_env_budget_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "zero")
     code, _, err = run_cli(capsys, "jordan", "--k", "1", "--n", "6")
-    assert code == 1 and "COHENRAM_THREADS" in err
+    assert code == 1 and "COHENRAM_MEMORY_BUDGET" in err
 
 
 def test_help_lists_every_command(capsys):

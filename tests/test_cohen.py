@@ -198,6 +198,15 @@ def test_query_validation():
         CohenSumQuery(1, 1, -1)
 
 
+def test_evaluators_reject_bad_arguments():
+    # each evaluator checks r >= 1, s >= 1, n >= 0 itself, with the
+    # message a CohenSumQuery gives
+    for fn in (crs_fast, crs_direct, crs_divisor_sum):
+        for args in [(0, 1, 1), (1, 0, 1), (1, 1, -1)]:
+            with pytest.raises(ValueError, match="need r >= 1, s >= 1, n >= 0"):
+                fn(*args)
+
+
 def test_direct_term_guard():
     assert 100**4 > DIRECT_TERM_GUARD
     with pytest.raises(ValueError, match="guard"):

@@ -7,10 +7,11 @@ from itertools import combinations
 
 import pytest
 
-from cohenram.arith import jordan, mobius, zeta
+from cohenram.arith import factorize, jordan, mobius, zeta
 from cohenram.cohen import crs_fast
 from cohenram.expansions import (
     ExpansionQuery,
+    _expansion_terms,
     expansion_partial_sum,
     local_factor_cases,
     local_factor_exact,
@@ -71,6 +72,23 @@ def test_matches_classical_ramanujan_expansion_at_s_one():
     assert rep.partial_sums[-1][1] == pytest.approx(s_classical, abs=1e-12)
 
 
+def test_expansion_terms_match_pointwise():
+    # each table entry is a product of omega(q) rounded factors, within
+    # 2 omega(q) 2^-53 relative of the exact term
+    Q = 5000
+    for s, k, n in [(1, 1, 1), (1, 2, 30), (2, 1, 12), (2, 3, 25), (3, 1, 7), (3, 3, 90)]:
+        terms = _expansion_terms(s, k, n, Q)
+        assert terms[0] == 0.0
+        for q in range(1, Q + 1):
+            exact = Fraction(mobius(q) * crs_fast(q, s, n**s), jordan(s + k, q))
+            if exact == 0:
+                assert terms[q] == 0.0
+                continue
+            omega = len(factorize(q).factors)
+            err = abs(Fraction(terms[q]) - exact) / abs(exact)
+            assert err <= 2 * omega * Fraction(1, 2**53), (s, k, n, q)
+
+
 def test_overflow_guard_on_argument():
     with pytest.raises(ValueError, match="2\\^63"):
         expansion_partial_sum(ExpansionQuery(2, 1, 2**40, 10))
@@ -107,14 +125,18 @@ def test_local_factor_exact_examples():
 
 
 def test_local_factor_exact_matches_manual_sum():
-    s, k, n, pset = 2, 1, 6, (2, 3, 5)
-    want = Fraction(0)
-    for size in range(4):
-        for sub in combinations(pset, size):
-            q = math.prod(sub)
-            want += Fraction(mobius(q) * crs_fast(q, s, n**s), jordan(s + k, q))
-    lhs, rhs = local_factor_exact(s, k, n, pset)
-    assert lhs == want == rhs
+    # one Fraction per term, summed term by term
+    cases = [(2, 1, 6, (2, 3, 5)), (1, 2, 30, (2, 3, 5, 7, 11)),
+             (3, 1, 14, (2, 3, 5, 7, 11)), (2, 3, 35, (2, 3, 5, 7, 11, 13)),
+             (1, 1, 1, (3, 5, 7, 11, 13, 17))]
+    for s, k, n, pset in cases:
+        want = Fraction(0)
+        for size in range(len(pset) + 1):
+            for sub in combinations(pset, size):
+                q = math.prod(sub)
+                want += Fraction(mobius(q) * crs_fast(q, s, n**s), jordan(s + k, q))
+        lhs, rhs = local_factor_exact(s, k, n, pset)
+        assert lhs == want == rhs
 
 
 def test_local_factor_exact_rejects_non_primes():
