@@ -403,9 +403,28 @@ def _spf_values(limit: int) -> np.ndarray:
     return spf
 
 
+def _prime_count_bound(x: int) -> int:
+    """An upper bound on the number of primes <= x: 1.25506 x / ln x for
+    x > 1 (Rosser and Schoenfeld, 1962)."""
+    return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
+
+
+def _primes_bytes(limit: int) -> int:
+    """Peak bytes of primes_upto(limit): its flags plus the primes."""
+    return limit + 1 + 8 * _prime_count_bound(limit)
+
+
 def _table_bytes(limit: int, itemsize: int) -> int:
-    """Peak bytes of multiplicative_table: the output plus its scratch."""
-    return itemsize * (limit + 1 + limit // 2)
+    """Peak bytes of multiplicative_table: the output, its scratch and
+    its primes."""
+    return itemsize * (limit + 1 + limit // 2) + _primes_bytes(limit)
+
+
+def _check_budget(what: str, need: int, budget: int | None) -> None:
+    """Refuse with MemoryBudgetError when need bytes exceed a set budget."""
+    if budget is not None and need > budget:
+        raise MemoryBudgetError(
+            f"{what}: ~{need} bytes needed, budget allows {budget}")
 
 
 def _estimate_bytes(kind: str, limit: int, k: int | None) -> int:
@@ -438,12 +457,8 @@ def sieve(kind: str, limit: int, *, k: int | None = None,
             raise ValueError("jordan sieve requires k >= 1")
     elif k is not None:
         raise ValueError(f"{kind} sieve takes no k parameter")
-    if memory_budget is not None:
-        need = _estimate_bytes(kind, limit, k)
-        if need > memory_budget:
-            raise MemoryBudgetError(
-                f"{kind} sieve to {limit} needs ~{need} bytes, "
-                f"budget allows {memory_budget}")
+    _check_budget(f"{kind} sieve to {limit}", _estimate_bytes(kind, limit, k),
+                 memory_budget)
 
     if kind == "mobius":
         arr = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
@@ -458,9 +473,13 @@ def sieve(kind: str, limit: int, *, k: int | None = None,
     return SieveTable(kind, None, limit, spf)
 
 
+_BUCKET = 4096
+
+
 def _bucket(limit: int) -> int:
-    """Round limits up so nearby requests share one cached table."""
-    return max(4096, -(-limit // 4096) * 4096)
+    """Round limits up to a multiple of _BUCKET so nearby requests share
+    one cached table."""
+    return max(_BUCKET, -(-limit // _BUCKET) * _BUCKET)
 
 
 @lru_cache(maxsize=10)

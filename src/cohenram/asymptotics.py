@@ -35,10 +35,12 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
+    _BUCKET,
     InternalAssertionError,
-    MemoryBudgetError,
     _bucket,
-    _table_bytes,
+    _check_budget,
+    _prime_count_bound,
+    _primes_bytes,
     factorize,
     multiplicative_table,
     primes_upto,
@@ -60,6 +62,11 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16  # fixed chunk size keeps the reduction order deterministic
+_BLOCK = 1 << 16  # entries per block of a windowed ratio-table build
+# (block, sieving prime) pairs lhs_sum's table builds may visit: admits
+# N up to about 3*10^8 with a small h, and h up to about 2*10^16 with a
+# short N (sieving primes to 1.4*10^8); refuses h = 10^17 at once
+_SIEVE_WORK_LIMIT = 10**7
 _ZETA_PRECISION = 1e-12
 
 
@@ -164,15 +171,79 @@ class AsymptoticReport:
         return "".join(f"{n} {rho!r}\n" for n, rho in self.ratios)
 
 
+def _factor_cap(k: int, hi: int) -> int:
+    """A bound past which 1 - P^-k rounds to 1.0 (P^-k <= 2^-54), capped
+    at hi: only residual primes up to it change an entry."""
+    return min(hi, int(2 ** (54 / k)) + 1)
+
+
 @lru_cache(maxsize=8)
-def _ratio_array(k: int, bucket: int) -> np.ndarray:
-    """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = 0..bucket as float64
-    (entry 0 is 0), built by multiplicative_table.  Each entry is a
-    product of omega(n) rounded factors, within 2 omega(n) 2^-53
-    relative of the exact value."""
-    out = multiplicative_table(bucket, lambda p, e: 1.0 - p ** -k)
+def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
+    """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = lo..hi as float64
+    (the entry for n = 0 is 0), filled in blocks of _BLOCK entries.
+
+    In each block every prime p <= sqrt(hi), in increasing order,
+    multiplies the multiples of p by 1 - p^-k, and an int64 residual of
+    n is divided by p at every power of p.  What is left is 1 or the one
+    prime P > sqrt(hi) of n, whose factor 1 - P^-k comes last, looked up
+    in a table of Python floats for P up to _factor_cap (beyond it the
+    factor is 1.0 and the residual is not kept at all).  So the factors
+    come in the order and with the values multiplicative_table uses, and
+    an entry equals that table's bit for bit: a product of omega(n)
+    rounded factors, within 2 omega(n) 2^-53 relative of the exact value.
+    Memory is the output plus one block's temporaries and, for k >= 3,
+    a factor table of at most 2^18 + 2 entries, whatever lo is.
+    """
+    out = np.empty(hi - lo + 1)
+    root, cap = math.isqrt(hi), _factor_cap(k, hi)
+    primes = primes_upto(max(root, cap))
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    large, primes = primes[n_small:], primes[:n_small]
+    track = large.size > 0  # else every residual's factor is 1.0
+    if track:
+        fac = np.ones(cap + 2)  # fac[P] = 1 - P^-k; residuals past cap read 1.0
+        fac[large] = [1.0 - p ** -k for p in large.tolist()]
+    for start in range(lo, hi + 1, _BLOCK):
+        stop = min(hi + 1, start + _BLOCK)
+        seg = out[start - lo : stop - lo]
+        seg.fill(1.0)
+        rest = np.arange(start, stop, dtype=np.int64) if track else None
+        first = -start % primes  # offset of each prime's first multiple
+        hit = first < stop - start
+        for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
+            seg[i::p] *= 1.0 - p ** -k
+            q = p
+            while track and q < stop:
+                rest[-start % q :: q] //= p
+                q *= p
+        if track:
+            seg *= fac[np.minimum(rest, cap + 1, out=rest)]
+    if lo == 0:
+        out[0] = 0.0
     out.flags.writeable = False
     return out
+
+
+def _build_bytes(k: int, lo: int, hi: int) -> int:
+    """Peak bytes of _ratio_array(k, lo, hi) besides its output: one
+    block's residual and gathered factors, the factor table, the primes
+    and the per-block offsets of the sieving primes."""
+    root, cap = math.isqrt(hi), _factor_cap(k, hi)
+    return (16 * min(_BLOCK, hi - lo + 1) + 8 * (cap + 2)
+            + _primes_bytes(max(root, cap)) + 16 * _prime_count_bound(root))
+
+
+def _lhs_windows(a: int, b: int, h: int, N: int) -> tuple[tuple[int, int, int], ...]:
+    """(k, lo, hi) of the a-side and the b-side ratio table lhs_sum
+    reads: [0, bucket(N)], and from h + 1 rounded down to a multiple of
+    _BUCKET up to bucket(N + h).  When the b-side window starts inside
+    the a-side one, both sides use [0, bucket(N + h)], so a near shift
+    with a = b builds a single table."""
+    a_hi, b_hi = _bucket(N), _bucket(N + h)
+    b_lo = (h + 1) // _BUCKET * _BUCKET
+    if b_lo <= a_hi:
+        return (a, 0, b_hi), (b, 0, b_hi)
+    return (a, 0, a_hi), (b, b_lo, b_hi)
 
 
 def _lhs_checkpoints_of(N: int) -> list[int]:
@@ -183,22 +254,35 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
             ) -> list[tuple[int, float]]:
     """Checkpointed partial sums of J_a(n)/n^a * J_b(n+h)/(n+h)^b.
 
-    The ratios come from float64 tables to N+h built by
-    multiplicative_table (see _ratio_array for their error bound), one
-    table per distinct exponent; the budget counts those tables and the
-    scratch of multiplicative_table.  Accumulation is fsum-compensated
-    over fixed-size chunks, so results are identical run to run.
+    The ratios come from float64 tables over the windows that are
+    summed, about [1, N] and [h+1, h+N] (see _lhs_windows), one per
+    distinct window, so their memory does not depend on h; _ratio_array
+    gives their error bound.  The budget counts 8 bytes per entry of
+    each distinct window plus the temporaries of one block build or of
+    one summation chunk, whichever is larger.
+    Before any of that, the (block, sieving prime) steps of the builds
+    are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
+    once.  Accumulation is fsum-compensated over fixed-size chunks, so
+    results are identical run to run.
     """
     a, b, h, N = query.a, query.b, query.h, query.N
-    bucket = _bucket(N + h)
-    if memory_budget is not None:
-        need = _table_bytes(bucket, 8) + (8 * (bucket + 1) if a != b else 0)
-        if need > memory_budget:
-            raise MemoryBudgetError(
-                f"jordan tables to {N + h} need ~{need} bytes, "
-                f"budget allows {memory_budget}")
-    ra = _ratio_array(a, bucket)
-    rb = ra if a == b else _ratio_array(b, bucket)
+    wa, wb = _lhs_windows(a, b, h, N)
+    windows = {wa, wb}
+    work = sum(-(-(hi - lo + 1) // _BLOCK) * _prime_count_bound(math.isqrt(hi))
+               for _, lo, hi in windows)
+    if work > _SIEVE_WORK_LIMIT:
+        raise ValueError(
+            f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
+            f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
+    # the tables, plus the larger of one build's temporaries and one
+    # summation chunk's (the products and the Python floats fsum reads)
+    need = (sum(8 * (hi - lo + 1) for _, lo, hi in windows)
+            + max(40 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows)))
+    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]", need,
+                  memory_budget)
+    ra = _ratio_array(*wa)
+    rb = _ratio_array(*wb)
+    shift = h - wb[1]  # n + h sits at index n + shift of rb
 
     out = []
     chunk_sums: list[float] = []
@@ -206,7 +290,7 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     for mark in _lhs_checkpoints_of(N):
         for lo in range(prev, mark + 1, _CHUNK):
             hi = min(mark + 1, lo + _CHUNK)
-            seg = ra[lo:hi] * rb[lo + h : hi + h]
+            seg = ra[lo:hi] * rb[lo + shift : hi + shift]
             chunk_sums.append(math.fsum(seg.tolist()))
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1

@@ -23,6 +23,9 @@ from itertools import combinations
 
 from .arith import (
     InternalAssertionError,
+    _check_budget,
+    _primes_bytes,
+    _table_bytes,
     generalized_gcd,
     jordan,
     read_sieve_cache,
@@ -88,7 +91,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--output", choices=("plain", "json", "csv"),
                         default="plain", help="report format (default plain)")
     common.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                        help="cap on sieve table memory "
+                        help="cap on table memory "
                              "(default COHENRAM_MEMORY_BUDGET or unlimited)")
 
     p = _Parser(prog="cohenram",
@@ -272,7 +275,8 @@ def _run_gcd_s(config: RunConfig) -> int:
 
 def _run_expansion(config: RunConfig) -> int:
     p = config.params
-    report = expansion_partial_sum(ExpansionQuery(p["s"], p["k"], p["n"], p["Q"]))
+    report = expansion_partial_sum(ExpansionQuery(p["s"], p["k"], p["n"], p["Q"]),
+                                   memory_budget=config.memory_budget)
     _emit_expansion_report(config, report)
     return EXIT_OK
 
@@ -336,6 +340,12 @@ def _run_asymptotic(config: RunConfig) -> int:
 def _run_main_term(config: RunConfig) -> int:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
+    # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
+    # 120 bytes per r for its ~32-byte ints, the weights, their support
+    # and the lists fsum reads, and the product's prime sieve
+    tables = 1 if b == a else 2
+    need = (tables + 1) * _table_bytes(R, 8) + 120 * R + _primes_bytes(R)
+    _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
     series = general_main_term(fa, fb, s, h)

@@ -22,6 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .arith import (
+    _check_budget,
+    _table_bytes,
     divisor_sigma,
     is_prime,
     jordan,
@@ -107,12 +109,15 @@ def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
     return multiplicative_table(Q, local)
 
 
-def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
+def expansion_partial_sum(query: ExpansionQuery, *,
+                          memory_budget: int | None = None) -> ExpansionReport:
     """Partial sums S_Q = sum_{q <= Q squarefree} mu(q) c_q^s(n^s) / J_{s+k}(q)
     against the target zeta(s+k) * J_k(n)/n^k.
 
     The terms are multiplicative in q and come from one
-    multiplicative_table (see _expansion_terms for their error bound).
+    multiplicative_table (see _expansion_terms for their error bound);
+    the table and the floats summed from it are checked against the
+    budget first.
     The convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)):
     terms decay like q^-(s+k) with an n-dependent constant.
     """
@@ -120,6 +125,9 @@ def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
+    # the table plus the Python floats fsum reads at the last checkpoint
+    _check_budget(f"expansion table to Q = {Q}", _table_bytes(Q, 8) + 32 * Q,
+                  memory_budget)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
     terms = _expansion_terms(s, k, n, Q)
 

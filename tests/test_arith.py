@@ -27,7 +27,7 @@ from cohenram.arith import (
     zeta,
     zeta_upper_bound,
 )
-from cohenram.asymptotics import _ratio_array
+from cohenram.asymptotics import _BLOCK, _ratio_array
 
 M61 = 2**61 - 1
 
@@ -312,17 +312,49 @@ def test_multiplicative_table_matches_pointwise(limit):
         assert jt[1:].tolist() == [jordan(k, n) for n in range(1, limit + 1)]
 
 
+# windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
+# entries from lo): whole tables from 0 and 1, a last block of a single
+# entry, windows crossing block boundaries with lo one below and one
+# above 2^16, a prime at sqrt(hi) (97^2), a prime hi, and lo > sqrt(hi)
+_B = _BLOCK
+_WINDOWS = [(0, 10**4), (1, 10**4), (0, _B), (60000, 200000),
+            (_B - 1, 3 * _B), (_B + 1, 3 * _B), (0, 97**2), (1, 9973),
+            (5000, 9973), (1007616, 1130496)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("lo, hi", _WINDOWS)
+def test_ratio_array_window_is_bit_identical(k, lo, hi):
+    want = multiplicative_table(hi, lambda p, e: 1.0 - p ** -k)[lo : hi + 1]
+    got = _ratio_array(k, lo, hi)
+    assert got.dtype == np.float64 and not got.flags.writeable
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("k", [3, 4])
 def test_ratio_array_error_bound(k):
     # each entry is a product of omega(n) rounded factors 1 - p^-k; the
     # stated bound is 2 omega(n) 2^-53 relative to the exact J_k(n)/n^k
     bucket = 1003520  # the bucket lhs_sum uses at N = 10^6
-    ratios = _ratio_array(k, bucket)
+    ratios = _ratio_array(k, 0, bucket)
     assert ratios[0] == 0.0 and ratios[1] == 1.0
     for n in [*range(1, 2 * 10**4 + 1), *range(bucket - 2 * 10**3 + 1, bucket + 1)]:
         exact = Fraction(jordan(k, n), n**k)
         omega = len(factorize(n).factors)
         assert abs(Fraction(ratios[n]) - exact) <= 2 * omega * exact / 2**53, n
+
+
+def test_ratio_array_error_bound_far_window():
+    # the same bound where the window sits at 10^12, far above its sieving
+    # primes, against sympy's factorization
+    lo, hi = 10**12 + 1, 10**12 + 2000
+    primes = [sympy.primefactors(n) for n in range(lo, hi + 1)]
+    for k in (3, 4):
+        ratios = _ratio_array(k, lo, hi)
+        assert len(ratios) == hi - lo + 1
+        for n, ps, got in zip(range(lo, hi + 1), primes, ratios.tolist()):
+            exact = math.prod((1 - Fraction(1, p**k) for p in ps), start=Fraction(1))
+            assert abs(Fraction(got) - exact) <= 2 * len(ps) * exact / 2**53, n
 
 
 def test_shared_sieve_covers_request():

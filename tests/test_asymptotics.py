@@ -18,6 +18,7 @@ from cohenram.asymptotics import (
     lhs_sum,
     rhs_product,
 )
+from cohenram.asymptotics import _lhs_windows
 from cohenram.arith import MemoryBudgetError
 
 
@@ -75,10 +76,27 @@ def test_lhs_checkpoints_increasing():
 
 
 def test_lhs_matches_naive_factorization_loop():
-    q = AsymptoticQuery(2, 3, 3, 12, 2000)
-    got = dict(lhs_sum(q))[2000]
-    want = naive_lhs(3, 3, 12, 2000)
-    assert abs(got - want) <= 1e-9 * want
+    # a near shift, a far one (h = 10^6 + 7 reads a separate window), and
+    # the shifts either side of where the two windows merge: at N = 2000
+    # the a-side window is [0, 4096] and the b-side one starts at
+    # (h + 1) rounded down to a multiple of 4096, inside it up to h = 8190
+    assert _lhs_windows(3, 4, 8190, 2000) == ((3, 0, 12288), (4, 0, 12288))
+    assert _lhs_windows(3, 4, 8191, 2000) == ((3, 0, 4096), (4, 8192, 12288))
+    for a, b, h in [(3, 3, 12), (3, 4, 10**6 + 7), (3, 3, 10**6 + 7),
+                    (3, 4, 8190), (3, 4, 8191)]:
+        got = dict(lhs_sum(AsymptoticQuery(2, a, b, h, 2000)))[2000]
+        want = naive_lhs(a, b, h, 2000)
+        assert abs(got - want) <= 1e-9 * want, (a, b, h)
+
+
+def test_lhs_huge_shift():
+    # the tables cover [1, 10] and a window at 10^12, not [0, 10^12 + 10]
+    got = lhs_sum(AsymptoticQuery(2, 3, 4, 10**12, 10), memory_budget=10**7)
+    want = naive_lhs(3, 4, 10**12, 10)
+    assert got[0][0] == 10 and got[0][1] == pytest.approx(want, rel=1e-12)
+    # past the sieving-work limit it is refused before any table is built
+    with pytest.raises(ValueError, match="sieving steps"):
+        lhs_sum(AsymptoticQuery(2, 3, 4, 10**17, 10))
 
 
 def test_lhs_memory_budget():
@@ -87,7 +105,8 @@ def test_lhs_memory_budget():
 
 
 def test_lhs_budget_counts_float_tables():
-    # one float64 table to 102,400 plus its scratch array is ~1.2 MB
+    # one float64 table on [0, 102400] plus one summation chunk's
+    # temporaries (larger than one block build's) is ~3.4 MB
     got = lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**5), memory_budget=4_000_000)
     assert got[-1][0] == 10**5
 

@@ -1,11 +1,14 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from cohenram import cli
+from cohenram.arith import jordan
 from cohenram.cohen import RoundingAssertionError
 
 
@@ -119,6 +122,42 @@ def test_asymptotic_rejects_bad_hypotheses(capsys):
     code, _, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "2", "--b", "3",
                            "--h", "1", "--N", "100")
     assert code == 1 and "1 + s/2" in err
+
+
+def test_asymptotic_huge_shift_within_budget(capsys):
+    # the tables cover [1, 10] and a window at 10^12, so 100 MB is plenty
+    code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
+                             "--h", str(10**12), "--N", "10",
+                             "--memory-budget", str(10**8), "--output", "json")
+    assert (code, err) == (0, "")
+    n, got = json.loads(out)["lhs_checkpoints"][-1]
+    want = math.fsum(jordan(3, n) / n**3 * jordan(4, n + 10**12) / (n + 10**12) ** 4
+                     for n in range(1, 11))
+    assert n == 10 and got == pytest.approx(want, rel=1e-12)
+
+
+def test_asymptotic_refuses_a_shift_too_large_to_sieve(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
+                             "--h", str(10**17), "--N", "10")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "sieving steps" in err and err.count("\n") == 1
+    code, _, _ = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
+                         "--h", str(10**12), "--N", "10")
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("expansion", "--s", "1", "--k", "1", "--n", "1", "--Q", "2000000"),
+    ("main-term", "--s", "2", "--a", "3", "--b", "4", "--h", "12", "--R", "2000000"),
+])
+def test_table_commands_respect_memory_budget(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--memory-budget", "1000")
+    assert code == 1 and out == "" and "budget" in err
+    # a budget that fits leaves the output as it is without one
+    small = (*argv[:-1], "500", "--output", "json")
+    assert run_cli(capsys, *small, "--memory-budget", str(10**8)) == run_cli(capsys, *small)
 
 
 def test_main_term(capsys):
