@@ -11,7 +11,6 @@ from .arith import (
     FactoredInteger,
     InternalAssertionError,
     MemoryBudgetError,
-    SieveTable,
     divisor_sigma,
     divisors,
     factorize,
@@ -20,12 +19,8 @@ from .arith import (
     jordan,
     mobius,
     primes_upto,
-    read_sieve_cache,
-    sieve,
-    shared_sieve,
     tau,
     tau_s,
-    write_sieve_cache,
     zeta,
     zeta_upper_bound,
 )
@@ -66,11 +61,10 @@ from .asymptotics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactoredInteger", "SieveTable", "InternalAssertionError",
-    "MemoryBudgetError", "is_prime", "factorize", "divisors", "mobius",
-    "jordan", "generalized_gcd", "tau", "tau_s", "divisor_sigma", "zeta",
-    "zeta_upper_bound", "primes_upto", "sieve", "shared_sieve",
-    "write_sieve_cache", "read_sieve_cache",
+    "FactoredInteger", "InternalAssertionError", "MemoryBudgetError",
+    "is_prime", "factorize", "divisors", "mobius", "jordan",
+    "generalized_gcd", "tau", "tau_s", "divisor_sigma", "zeta",
+    "zeta_upper_bound", "primes_upto",
     "CohenSumQuery", "CohenSumValue", "RoundingAssertionError",
     "crs_direct", "crs_direct_spectrum", "crs_divisor_sum", "crs_fast",
     "crs_of_shift", "kvector_sum", "shift_decompose", "evaluate",

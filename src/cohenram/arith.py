@@ -1,26 +1,23 @@
 """Exact arithmetic primitives: factorization, scalar multiplicative
-functions, zeta evaluation, and dense sieve tables.
+functions, zeta evaluation, and dense multiplicative tables.
 
-Everything here is deterministic and works on plain Python integers, so
-values like J_4(n) for n around 10**6 (which need more than 64 bits) are
-exact.  The only place a fixed width appears is the binary sieve-cache
-format, whose entries are signed 64-bit.
+Everything here is deterministic.  The scalar functions work on plain
+Python integers, so values like J_4(n) for n around 10**6 (which need
+more than 64 bits) are exact; multiplicative_table builds a whole table
+as numpy floats, small ints, or exact Python ints, as its caller asks.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "FactoredInteger",
-    "SieveTable",
     "InternalAssertionError",
     "MemoryBudgetError",
     "is_prime",
@@ -36,10 +33,6 @@ __all__ = [
     "zeta_upper_bound",
     "primes_upto",
     "multiplicative_table",
-    "sieve",
-    "shared_sieve",
-    "write_sieve_cache",
-    "read_sieve_cache",
 ]
 
 
@@ -74,7 +67,7 @@ def primes_upto(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def is_prime(n: int) -> bool:
@@ -322,39 +315,7 @@ def zeta_upper_bound(z: int, cutoff: int = 100) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# sieve tables
-
-_KINDS = ("mobius", "jordan", "smallest-prime-factor")
-
-
-@dataclass(frozen=True)
-class SieveTable:
-    """Dense table of an arithmetic function on 1..limit.
-
-    ``values`` has length limit + 1 with index 0 unused; it is a
-    read-only numpy array (mobius, smallest-prime-factor) or a tuple of
-    exact ints (jordan).  Tables are immutable once built and safe to
-    share.
-    """
-
-    kind: str
-    k: int | None
-    limit: int
-    values: Sequence[int]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown sieve kind {self.kind!r}")
-        if self.limit < 1 or len(self.values) != self.limit + 1:
-            raise ValueError("values must cover 1..limit")
-        if self.kind in ("mobius", "jordan") and self.values[1] != 1:
-            raise ValueError(f"{self.kind} table must have values[1] == 1")
-
-    def __getitem__(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise IndexError(f"sieve index {n} outside 1..{self.limit}")
-        return int(self.values[n])
-
+# dense multiplicative tables
 
 def multiplicative_table(limit: int, local, dtype=np.float64) -> np.ndarray:
     """f(n) for n = 0..limit (f(0) = 0) of the multiplicative f with
@@ -389,20 +350,6 @@ def multiplicative_table(limit: int, local, dtype=np.float64) -> np.ndarray:
     return vals
 
 
-def _spf_values(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        spf[1] = 1
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            spf[p] = p
-            sl = spf[p * p :: p]
-            sl[sl == 0] = p
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    return spf
-
-
 def _prime_count_bound(x: int) -> int:
     """An upper bound on the number of primes <= x: 1.25506 x / ln x for
     x > 1 (Rosser and Schoenfeld, 1962)."""
@@ -425,125 +372,3 @@ def _check_budget(what: str, need: int, budget: int | None) -> None:
     if budget is not None and need > budget:
         raise MemoryBudgetError(
             f"{what}: ~{need} bytes needed, budget allows {budget}")
-
-
-def _estimate_bytes(kind: str, limit: int, k: int | None) -> int:
-    if kind == "mobius":
-        return _table_bytes(limit, 1)
-    if kind == "smallest-prime-factor":
-        return 8 * (limit + 1)
-    # jordan: array and tuple slots + int objects sized by k * log2(limit)
-    # bits, roughly doubled for the scratch multiplicative_table needs
-    digits = max(1, math.ceil(k * max(limit, 2).bit_length() / 30))
-    return 2 * (limit + 1) * (36 + 4 * digits)
-
-
-def sieve(kind: str, limit: int, *, k: int | None = None,
-          memory_budget: int | None = None) -> SieveTable:
-    """Build a dense SieveTable of the requested kind on 1..limit.
-
-    kind is one of "mobius", "jordan" (requires k >= 1), or
-    "smallest-prime-factor" (alias "spf").  Mobius and jordan come from
-    multiplicative_table, jordan as exact ints; the result is immutable.
-    """
-    if kind == "spf":
-        kind = "smallest-prime-factor"
-    if kind not in _KINDS:
-        raise ValueError(f"unknown sieve kind {kind!r}")
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    if kind == "jordan":
-        if k is None or k < 1:
-            raise ValueError("jordan sieve requires k >= 1")
-    elif k is not None:
-        raise ValueError(f"{kind} sieve takes no k parameter")
-    _check_budget(f"{kind} sieve to {limit}", _estimate_bytes(kind, limit, k),
-                 memory_budget)
-
-    if kind == "mobius":
-        arr = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
-        arr.flags.writeable = False
-        return SieveTable(kind, None, limit, arr)
-    if kind == "jordan":
-        vals = multiplicative_table(
-            limit, lambda p, e: p ** (k * e) - p ** (k * (e - 1)), object)
-        return SieveTable(kind, k, limit, tuple(vals.tolist()))
-    spf = _spf_values(limit)
-    spf.flags.writeable = False
-    return SieveTable(kind, None, limit, spf)
-
-
-_BUCKET = 4096
-
-
-def _bucket(limit: int) -> int:
-    """Round limits up to a multiple of _BUCKET so nearby requests share
-    one cached table."""
-    return max(_BUCKET, -(-limit // _BUCKET) * _BUCKET)
-
-
-@lru_cache(maxsize=10)
-def _shared(kind: str, k: int | None, bucket: int) -> SieveTable:
-    return sieve(kind, bucket, k=k)
-
-
-def shared_sieve(kind: str, limit: int, *, k: int | None = None) -> SieveTable:
-    """Memoized sieve access for bulk internal callers.
-
-    May return a table somewhat longer than ``limit``; entries past the
-    request are valid, just unneeded.
-    """
-    return _shared(kind, k, _bucket(limit))
-
-
-# ---------------------------------------------------------------------------
-# binary sieve cache (an optimization surface, never a source of truth)
-
-_CACHE_MAGIC = b"CRSIEVE1"
-_KIND_TAGS = {"mobius": 0, "jordan": 1, "smallest-prime-factor": 2}
-_TAG_KINDS = {v: n for n, v in _KIND_TAGS.items()}
-_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
-
-
-def write_sieve_cache(table: SieveTable, path) -> None:
-    """Serialize a table: magic, kind tag, k, N, then N little-endian
-    signed 64-bit entries for indices 1..N.
-
-    Entries outside the signed 64-bit range are refused with the
-    required width reported.
-    """
-    entries = [int(table.values[n]) for n in range(1, table.limit + 1)]
-    for n, v in enumerate(entries, start=1):
-        if not _I64_MIN <= v <= _I64_MAX:
-            raise OverflowError(
-                f"entry {n} of {table.kind} table needs {v.bit_length() + 1} bits, "
-                f"cache format holds 64")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<BQQ", _KIND_TAGS[table.kind], table.k or 0, table.limit))
-        fh.write(np.array(entries, dtype="<i8").tobytes())
-
-
-def read_sieve_cache(path) -> SieveTable:
-    """Load a table written by write_sieve_cache, validating the header."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _CACHE_MAGIC:
-            raise ValueError(f"not a sieve cache file (magic {magic!r})")
-        tag, k, limit = struct.unpack("<BQQ", fh.read(17))
-        if tag not in _TAG_KINDS:
-            raise ValueError(f"unknown sieve kind tag {tag}")
-        kind = _TAG_KINDS[tag]
-        payload = fh.read(8 * limit)
-        if len(payload) != 8 * limit or fh.read(1):
-            raise ValueError("sieve cache payload has the wrong length")
-    entries = np.frombuffer(payload, dtype="<i8")
-    if kind == "mobius":
-        arr = np.concatenate(([0], entries)).astype(np.int8)
-        arr.flags.writeable = False
-        return SieveTable(kind, None, limit, arr)
-    if kind == "smallest-prime-factor":
-        arr = np.concatenate(([0], entries)).astype(np.int64)
-        arr.flags.writeable = False
-        return SieveTable(kind, None, limit, arr)
-    return SieveTable(kind, int(k), limit, (0,) + tuple(int(v) for v in entries))

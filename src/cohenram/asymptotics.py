@@ -35,9 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import (
-    _BUCKET,
     InternalAssertionError,
-    _bucket,
     _check_budget,
     _prime_count_bound,
     _primes_bytes,
@@ -63,6 +61,7 @@ __all__ = [
 
 _CHUNK = 1 << 16  # fixed chunk size keeps the reduction order deterministic
 _BLOCK = 1 << 16  # entries per block of a windowed ratio-table build
+_BUCKET = 4096  # window ends are rounded to multiples of this
 # (block, sieving prime) pairs lhs_sum's table builds may visit: admits
 # N up to about 3*10^8 with a small h, and h up to about 2*10^16 with a
 # short N (sieving primes to 1.4*10^8); refuses h = 10^17 at once
@@ -226,11 +225,19 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
 
 def _build_bytes(k: int, lo: int, hi: int) -> int:
     """Peak bytes of _ratio_array(k, lo, hi) besides its output: one
-    block's residual and gathered factors, the factor table, the primes
-    and the per-block offsets of the sieving primes."""
+    block's residual and gathered factors, the factor table and the two
+    Python lists (ints and floats, 68 bytes a prime) it is filled from,
+    the primes and the per-block offsets of the sieving primes."""
     root, cap = math.isqrt(hi), _factor_cap(k, hi)
     return (16 * min(_BLOCK, hi - lo + 1) + 8 * (cap + 2)
+            + 68 * _prime_count_bound(cap)
             + _primes_bytes(max(root, cap)) + 16 * _prime_count_bound(root))
+
+
+def _bucket(limit: int) -> int:
+    """Round limits up to a multiple of _BUCKET so nearby requests share
+    one cached table."""
+    return max(_BUCKET, -(-limit // _BUCKET) * _BUCKET)
 
 
 def _lhs_windows(a: int, b: int, h: int, N: int) -> tuple[tuple[int, int, int], ...]:
@@ -250,6 +257,29 @@ def _lhs_checkpoints_of(N: int) -> list[int]:
     return sorted({c for c in (10**4, 10**5, 10**6) if c < N} | {N})
 
 
+def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
+    """lhs_sum's two windows with the bytes of their tables and of the
+    larger of one build's temporaries and one summation chunk's (the
+    products and the Python floats fsum reads).
+
+    Before any of that, the (block, sieving prime) steps of the builds
+    are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
+    once.
+    """
+    h, N = query.h, query.N
+    wa, wb = _lhs_windows(query.a, query.b, h, N)
+    windows = {wa, wb}
+    work = sum(-(-(hi - lo + 1) // _BLOCK) * _prime_count_bound(math.isqrt(hi))
+               for _, lo, hi in windows)
+    if work > _SIEVE_WORK_LIMIT:
+        raise ValueError(
+            f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
+            f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
+    tables = sum(8 * (hi - lo + 1) for _, lo, hi in windows)
+    temps = max(40 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows))
+    return wa, wb, tables, temps
+
+
 def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
             ) -> list[tuple[int, float]]:
     """Checkpointed partial sums of J_a(n)/n^a * J_b(n+h)/(n+h)^b.
@@ -259,27 +289,14 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     distinct window, so their memory does not depend on h; _ratio_array
     gives their error bound.  The budget counts 8 bytes per entry of
     each distinct window plus the temporaries of one block build or of
-    one summation chunk, whichever is larger.
-    Before any of that, the (block, sieving prime) steps of the builds
-    are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
-    once.  Accumulation is fsum-compensated over fixed-size chunks, so
-    results are identical run to run.
+    one summation chunk, whichever is larger (see _lhs_plan, which also
+    refuses a huge shift first).  Accumulation is fsum-compensated over
+    fixed-size chunks, so results are identical run to run.
     """
-    a, b, h, N = query.a, query.b, query.h, query.N
-    wa, wb = _lhs_windows(a, b, h, N)
-    windows = {wa, wb}
-    work = sum(-(-(hi - lo + 1) // _BLOCK) * _prime_count_bound(math.isqrt(hi))
-               for _, lo, hi in windows)
-    if work > _SIEVE_WORK_LIMIT:
-        raise ValueError(
-            f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
-            f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
-    # the tables, plus the larger of one build's temporaries and one
-    # summation chunk's (the products and the Python floats fsum reads)
-    need = (sum(8 * (hi - lo + 1) for _, lo, hi in windows)
-            + max(40 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows)))
-    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]", need,
-                  memory_budget)
+    h, N = query.h, query.N
+    wa, wb, tables, temps = _lhs_plan(query)
+    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]",
+                  tables + temps, memory_budget)
     ra = _ratio_array(*wa)
     rb = _ratio_array(*wb)
     shift = h - wb[1]  # n + h sits at index n + shift of rb
@@ -295,6 +312,13 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1
     return out
+
+
+def _product_bytes(P: int) -> int:
+    """Peak bytes of rhs_product to the prime cutoff P: the sieve's flags
+    and int64 primes, and the list of Python ints its loop reads (an
+    8-byte slot and a 28-byte int per prime)."""
+    return _primes_bytes(P) + 36 * _prime_count_bound(P)
 
 
 def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
@@ -379,7 +403,10 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
     converged means the final |ratio - 1| is below tolerance and
     |ratio - 1| did not increase across the last two checkpoints.  The
     reduction c_r^s(h) = c_r^s(m^s) is re-verified for r <= 100 before
-    any heavy work.
+    any heavy work.  The memory budget is checked next, before anything
+    is built: lhs_sum's tables, which its cache keeps alive while the
+    product runs, plus the larger of their temporaries and the product's
+    primes (_product_bytes).
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
@@ -389,7 +416,12 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
             raise InternalAssertionError(
                 f"c_r^s(h) != c_r^s(m^s) at r = {r} for h = {query.h}, s = {query.s}")
 
-    checkpoints = tuple(lhs_sum(query, memory_budget=memory_budget))
+    _, _, tables, temps = _lhs_plan(query)
+    P = query.prime_cutoff
+    _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
+                  f"{query.h + query.N}] and the Euler product to P = {P}",
+                  tables + max(temps, _product_bytes(P)), memory_budget)
+    checkpoints = tuple(lhs_sum(query))
     rhs = rhs_product(query)
     ratios = []
     for n, v in checkpoints:

@@ -24,13 +24,9 @@ from itertools import combinations
 from .arith import (
     InternalAssertionError,
     _check_budget,
-    _primes_bytes,
     _table_bytes,
     generalized_gcd,
     jordan,
-    read_sieve_cache,
-    sieve,
-    write_sieve_cache,
 )
 from .cohen import CohenSumQuery, evaluate
 from .expansions import (
@@ -42,6 +38,7 @@ from .expansions import (
 )
 from .asymptotics import (
     AsymptoticQuery,
+    _product_bytes,
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
@@ -140,7 +137,9 @@ def _build_parser() -> _Parser:
     q.add_argument("--s", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--R", type=int, required=True, help="cutoff; needs R^s <= 10^7")
+    q.add_argument("--R", type=int, required=True,
+                   help="cutoff; needs the sum of r^s over squarefree r <= R "
+                        "to be <= 10^7 (R <= 5737, 370, 88 at s = 1, 2, 3)")
 
     q = sub.add_parser("asymptotic", parents=[common],
                        help="shifted-convolution sum vs truncated Euler product")
@@ -164,16 +163,6 @@ def _build_parser() -> _Parser:
     q.add_argument("--R", type=int, required=True,
                    help="series cutoff, and also the prime cutoff of the "
                         "Euler product it is compared to")
-
-    q = sub.add_parser("sieve-cache", parents=[common],
-                       help="build a sieve table and write the binary cache file")
-    q.add_argument("--kind", choices=("mobius", "jordan", "smallest-prime-factor"),
-                   required=True)
-    q.add_argument("--k", type=int, default=None, help="order for the jordan kind")
-    q.add_argument("--limit", type=int, required=True)
-    q.add_argument("--path", required=True)
-    q.add_argument("--verify", action="store_true",
-                   help="read the file back and compare against a fresh table")
 
     q = sub.add_parser("repro-all", parents=[common],
                        help="one-command reproduction: the full exact local-factor "
@@ -342,9 +331,9 @@ def _run_main_term(config: RunConfig) -> int:
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
     # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
     # 120 bytes per r for its ~32-byte ints, the weights, their support
-    # and the lists fsum reads, and the product's prime sieve
+    # and the lists fsum reads, and the product's primes
     tables = 1 if b == a else 2
-    need = (tables + 1) * _table_bytes(R, 8) + 120 * R + _primes_bytes(R)
+    need = (tables + 1) * _table_bytes(R, 8) + 120 * R + _product_bytes(R)
     _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
@@ -360,33 +349,6 @@ def _run_main_term(config: RunConfig) -> int:
         sys.stdout.write(f"{series!r},{product!r},{diff!r}\n")
     else:
         sys.stdout.write(f"series  {series!r}\nproduct {product!r}\n|diff|  {diff!r}\n")
-    return EXIT_OK
-
-
-def _run_sieve_cache(config: RunConfig) -> int:
-    p = config.params
-    table = sieve(p["kind"], p["limit"], k=p["k"],
-                  memory_budget=config.memory_budget)
-    write_sieve_cache(table, p["path"])
-    verified = None
-    if p["verify"]:
-        back = read_sieve_cache(p["path"])
-        verified = (back.kind == table.kind and back.k == table.k
-                    and back.limit == table.limit
-                    and all(back[i] == table[i] for i in range(1, table.limit + 1)))
-        if not verified:
-            raise InternalAssertionError(f"cache file {p['path']} does not round-trip")
-    payload = {"schema": 1, "command": "sieve-cache", "kind": p["kind"],
-               "k": p["k"], "limit": p["limit"], "path": p["path"],
-               "verified": verified}
-    if config.output == "json":
-        _emit_json(payload)
-    elif config.output == "csv":
-        sys.stdout.write("kind,k,limit,path,verified\n")
-        sys.stdout.write(f"{p['kind']},{p['k']},{p['limit']},{p['path']},{verified}\n")
-    else:
-        sys.stdout.write(f"wrote {p['kind']} table (k={p['k']}) to {p['path']}, "
-                         f"entries 1..{p['limit']}, verified={verified}\n")
     return EXIT_OK
 
 
@@ -453,7 +415,6 @@ _HANDLERS = {
     "sivaramakrishnan": _run_sivaramakrishnan,
     "asymptotic": _run_asymptotic,
     "main-term": _run_main_term,
-    "sieve-cache": _run_sieve_cache,
     "repro-all": _run_repro_all,
 }
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .arith import (
     jordan,
     mobius,
     multiplicative_table,
-    shared_sieve,
     zeta,
 )
 from .cohen import DIRECT_TERM_GUARD, crs_fast, kvector_sum
@@ -44,6 +43,7 @@ __all__ = [
 ]
 
 _NS_LIMIT = 2**63
+_CHUNK = 1 << 16  # table entries converted to Python floats at a time
 _ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
 
 
@@ -116,8 +116,9 @@ def expansion_partial_sum(query: ExpansionQuery, *,
 
     The terms are multiplicative in q and come from one
     multiplicative_table (see _expansion_terms for their error bound);
-    the table and the floats summed from it are checked against the
-    budget first.
+    each partial sum is one fsum over the table read in chunks of _CHUNK
+    Python floats, correctly rounded whatever the chunking.  The table
+    and one chunk are checked against the budget first.
     The convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)):
     terms decay like q^-(s+k) with an n-dependent constant.
     """
@@ -125,14 +126,17 @@ def expansion_partial_sum(query: ExpansionQuery, *,
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    # the table plus the Python floats fsum reads at the last checkpoint
-    _check_budget(f"expansion table to Q = {Q}", _table_bytes(Q, 8) + 32 * Q,
-                  memory_budget)
+    # the table plus one chunk of the Python floats fsum reads
+    _check_budget(f"expansion table to Q = {Q}",
+                  _table_bytes(Q, 8) + 32 * min(Q, _CHUNK), memory_budget)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
     terms = _expansion_terms(s, k, n, Q)
 
-    partials = tuple((c, math.fsum(terms[1 : c + 1].tolist()))
-                     for c in _checkpoints(Q))
+    partials = tuple(
+        (c, math.fsum(chain.from_iterable(
+            terms[lo : min(lo + _CHUNK, c + 1)].tolist()
+            for lo in range(1, c + 1, _CHUNK))))
+        for c in _checkpoints(Q))
     final_err = abs(partials[-1][1] - target)
     tol = max(1e-3, 2.0 * divisor_sigma(n) ** s * Q ** (1 - s - k))
     return ExpansionReport(query, target, partials, final_err, tol, final_err < tol)
@@ -218,12 +222,11 @@ def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
                     f"k-vector enumeration to R = {R} exceeds the "
                     f"{DIRECT_TERM_GUARD}-tuple guard at r = {r}")
             signed.append((r, mu))
-    jt = shared_sieve("jordan", R, k=s + k)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
 
     terms = [0.0] * (R + 1)
     for r, mu in signed:
-        terms[r] = mu * kvector_sum(s, n, r) / jt[r]
+        terms[r] = mu * kvector_sum(s, n, r) / jordan(s + k, r)
 
     partials = tuple((c, math.fsum(terms[1 : c + 1])) for c in _checkpoints(R))
     final_err = abs(partials[-1][1] - target)

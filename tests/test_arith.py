@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from cohenram.arith import (
     FactoredInteger,
-    MemoryBudgetError,
     divisor_sigma,
     divisors,
     factorize,
@@ -18,12 +17,8 @@ from cohenram.arith import (
     jordan,
     mobius,
     multiplicative_table,
-    sieve,
-    shared_sieve,
     tau,
     tau_s,
-    read_sieve_cache,
-    write_sieve_cache,
     zeta,
     zeta_upper_bound,
 )
@@ -241,75 +236,29 @@ def test_jordan_coefficient_bound():
 
 
 # ---------------------------------------------------------------------------
-# sieves
+# dense tables
 
-def test_sieve_examples():
-    jt = sieve("jordan", 10, k=1)
-    assert [jt[n] for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
-    mt = sieve("mobius", 6)
-    assert [mt[n] for n in range(1, 7)] == [1, -1, -1, 0, -1, 1]
-    assert sieve("jordan", 1, k=3)[1] == 1
-
-
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
-def test_jordan_sieve_matches_pointwise(k):
-    jt = sieve("jordan", 10**4, k=k)
-    for n in range(1, 10**4 + 1):
-        assert jt[n] == jordan(k, n)
-
-
-def test_mobius_sieve_matches_pointwise():
-    mt = sieve("mobius", 10**4)
-    for n in range(1, 10**4 + 1):
-        assert mt[n] == mobius(n)
-
-
-def test_spf_sieve_matches_pointwise():
-    spf = sieve("spf", 10**4)
-    assert spf.kind == "smallest-prime-factor"
-    assert spf[1] == 1
-    for n in range(2, 10**4 + 1):
-        assert spf[n] == factorize(n).factors[0][0]
-
-
-def test_sieve_tables_are_immutable():
-    mt = sieve("mobius", 50)
-    with pytest.raises(ValueError):
-        mt.values[3] = 7
-    jt = sieve("jordan", 50, k=2)
-    assert isinstance(jt.values, tuple)
-
-
-def test_sieve_validation():
-    with pytest.raises(ValueError):
-        sieve("totient", 10)
-    with pytest.raises(ValueError):
-        sieve("jordan", 10)  # missing k
-    with pytest.raises(ValueError):
-        sieve("mobius", 10, k=2)
-    with pytest.raises(ValueError):
-        sieve("mobius", 0)
-    with pytest.raises(IndexError):
-        sieve("mobius", 10)[11]
-
-
-def test_sieve_memory_budget():
-    with pytest.raises(MemoryBudgetError, match="budget"):
-        sieve("jordan", 10**6, k=4, memory_budget=1000)
-    assert sieve("mobius", 100, memory_budget=10**6)[1] == 1
+def _jordan_local(k):
+    return lambda p, e: p ** (k * e) - p ** (k * (e - 1))
 
 
 # edges between the strided small-prime updates and the batched large
 # primes: 9409 = 97^2 has a prime at sqrt(limit), 9973 is itself prime
-@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 25, 9409, 9973, 10**4])
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 12, 25, 9409, 9973, 10**4])
 def test_multiplicative_table_matches_pointwise(limit):
     mu = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
     assert mu.dtype == np.int8 and mu[0] == 0
+    assert mu[1:7].tolist() == [1, -1, -1, 0, -1, 1][:limit]
     assert mu[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
-    for k in (1, 3):
-        jt = multiplicative_table(
-            limit, lambda p, e: p ** (k * e) - p ** (k * (e - 1)), object)
+    for k in (1, 2, 3, 4):
+        jt = multiplicative_table(limit, _jordan_local(k), object)
         assert jt[1:].tolist() == [jordan(k, n) for n in range(1, limit + 1)]
+        if k == 1:
+            assert jt[1:11].tolist() == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4][:limit]
+    if limit <= 25:  # exact k = 40 entries, far beyond 64 bits
+        wide = multiplicative_table(limit, _jordan_local(40), object)
+        assert wide[1:].tolist() == [jordan(40, n) for n in range(1, limit + 1)]
+        assert limit < 11 or wide[11] == 11**40 - 1
 
 
 # windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
@@ -355,44 +304,3 @@ def test_ratio_array_error_bound_far_window():
         for n, ps, got in zip(range(lo, hi + 1), primes, ratios.tolist()):
             exact = math.prod((1 - Fraction(1, p**k) for p in ps), start=Fraction(1))
             assert abs(Fraction(got) - exact) <= 2 * len(ps) * exact / 2**53, n
-
-
-def test_shared_sieve_covers_request():
-    t = shared_sieve("jordan", 5000, k=2)
-    assert t.limit >= 5000
-    assert t[4999] == jordan(2, 4999)
-    # identical bucket -> same object
-    assert shared_sieve("jordan", 5001, k=2) is t
-
-
-# ---------------------------------------------------------------------------
-# sieve cache files
-
-def test_cache_round_trip(tmp_path):
-    for table in (sieve("jordan", 60, k=2), sieve("mobius", 60), sieve("spf", 60)):
-        path = tmp_path / f"{table.kind}.bin"
-        write_sieve_cache(table, path)
-        back = read_sieve_cache(path)
-        assert back.kind == table.kind
-        assert back.k == table.k
-        assert back.limit == table.limit
-        assert all(back[n] == table[n] for n in range(1, 61))
-
-
-def test_cache_rejects_wide_entries(tmp_path):
-    wide = sieve("jordan", 12, k=40)  # 11^40 is far beyond 64 bits
-    assert wide[11] == 11**40 - 1 and wide[12] == jordan(40, 12)
-    with pytest.raises(OverflowError, match="bits"):
-        write_sieve_cache(wide, tmp_path / "wide.bin")
-
-
-def test_cache_rejects_corruption(tmp_path):
-    path = tmp_path / "t.bin"
-    write_sieve_cache(sieve("mobius", 20), path)
-    raw = path.read_bytes()
-    (tmp_path / "bad_magic.bin").write_bytes(b"XXXXXXXX" + raw[8:])
-    with pytest.raises(ValueError, match="magic"):
-        read_sieve_cache(tmp_path / "bad_magic.bin")
-    (tmp_path / "short.bin").write_bytes(raw[:-8])
-    with pytest.raises(ValueError, match="length"):
-        read_sieve_cache(tmp_path / "short.bin")

@@ -160,6 +160,19 @@ def test_table_commands_respect_memory_budget(capsys, argv):
     assert run_cli(capsys, *small, "--memory-budget", str(10**8)) == run_cli(capsys, *small)
 
 
+def test_asymptotic_budget_covers_the_euler_product(capsys):
+    # at N = 10 the tables fit a 10^6 budget, the primes to 10^8 do not
+    argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "10")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--prime-cutoff", str(10**8),
+                             "--memory-budget", str(10**6))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+    fits = (*argv, "--memory-budget", str(10**6), "--output", "json")
+    assert run_cli(capsys, *fits) == run_cli(capsys, *argv, "--output", "json")
+
+
 def test_main_term(capsys):
     code, out, _ = run_cli(capsys, "main-term", "--s", "2", "--a", "3", "--b", "3",
                            "--h", "12", "--R", "500", "--output", "json")
@@ -167,21 +180,6 @@ def test_main_term(capsys):
     payload = json.loads(out)
     assert payload["abs_diff"] < 1e-6
     assert payload["series"] == pytest.approx(payload["product"], abs=1e-6)
-
-
-def test_sieve_cache_round_trip(capsys, tmp_path):
-    path = tmp_path / "jordan2.sieve"
-    code, out, _ = run_cli(capsys, "sieve-cache", "--kind", "jordan", "--k", "2",
-                           "--limit", "500", "--path", str(path), "--verify")
-    assert code == 0
-    assert "verified=True" in out
-    assert path.stat().st_size == 8 + 17 + 8 * 500
-
-
-def test_sieve_cache_overflow(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "sieve-cache", "--kind", "jordan", "--k", "40",
-                           "--limit", "12", "--path", str(tmp_path / "x.bin"))
-    assert code == 1 and "bits" in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -223,9 +221,9 @@ def test_help_lists_every_command(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     for cmd in ("sum", "jordan", "gcd-s", "expansion", "local-check",
-                "sivaramakrishnan", "asymptotic", "main-term", "sieve-cache",
-                "repro-all"):
+                "sivaramakrishnan", "asymptotic", "main-term", "repro-all"):
         assert cmd in out
+    assert "sieve" not in out  # the cache subcommand is gone
 
 
 def test_module_entry_point():

@@ -10,6 +10,7 @@ import pytest
 from cohenram.arith import factorize, jordan, mobius, zeta
 from cohenram.cohen import crs_fast
 from cohenram.expansions import (
+    _CHUNK,
     ExpansionQuery,
     _expansion_terms,
     expansion_partial_sum,
@@ -87,6 +88,18 @@ def test_expansion_terms_match_pointwise():
             omega = len(factorize(q).factors)
             err = abs(Fraction(terms[q]) - exact) / abs(exact)
             assert err <= 2 * omega * Fraction(1, 2**53), (s, k, n, q)
+
+
+def test_chunked_partial_sums_are_bit_identical():
+    # fsum is correctly rounded, so reading the table in chunks gives the
+    # sum of one whole list bit for bit; Q ends inside a fourth chunk
+    Q = 3 * _CHUNK + 5
+    for s, k, n in [(1, 1, 1), (2, 1, 12), (3, 2, 30)]:
+        terms = _expansion_terms(s, k, n, Q)
+        report = expansion_partial_sum(ExpansionQuery(s, k, n, Q))
+        assert [c for c, _ in report.partial_sums] == [10, 100, 1000, Q]
+        for c, got in report.partial_sums:
+            assert got.hex() == math.fsum(terms[1 : c + 1].tolist()).hex()
 
 
 def test_overflow_guard_on_argument():
