@@ -261,6 +261,36 @@ def test_multiplicative_table_matches_pointwise(limit):
         assert limit < 11 or wide[11] == 11**40 - 1
 
 
+def test_sieve_examples():
+    jt = multiplicative_table(10, _jordan_local(1), object)
+    assert jt[1:].tolist() == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    mt = multiplicative_table(6, lambda p, e: -1 if e == 1 else 0, np.int8)
+    assert mt[1:].tolist() == [1, -1, -1, 0, -1, 1]
+    assert multiplicative_table(1, _jordan_local(3), object)[1] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_jordan_sieve_matches_pointwise(k):
+    jt = multiplicative_table(10**4, _jordan_local(k), object)
+    for n in range(1, 10**4 + 1):
+        assert jt[n] == jordan(k, n)
+
+
+def test_mobius_sieve_matches_pointwise():
+    mt = multiplicative_table(10**4, lambda p, e: -1 if e == 1 else 0, np.int8)
+    for n in range(1, 10**4 + 1):
+        assert mt[n] == mobius(n)
+
+
+def test_cache_rejects_wide_entries():
+    # an object table keeps entries far beyond 64 bits exactly; an int64
+    # table refuses them instead of wrapping
+    wide = multiplicative_table(12, _jordan_local(40), object)
+    assert wide[11] == 11**40 - 1 and wide[12] == jordan(40, 12)
+    with pytest.raises(OverflowError):
+        multiplicative_table(12, _jordan_local(40), np.int64)
+
+
 # windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
 # entries from lo): whole tables from 0 and 1, a last block of a single
 # entry, windows crossing block boundaries with lo one below and one
