@@ -10,6 +10,7 @@ as numpy floats, small ints, or exact Python ints, as its caller asks.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,8 +55,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @lru_cache(maxsize=1)
-def _trial_primes() -> list[int]:
-    return primes_upto(_TRIAL_LIMIT).tolist()
+def _trial_primes() -> array:
+    # 8 bytes a prime, against 40 for a list of Python ints; the int64
+    # buffer is copied as is, the same values as converting each entry
+    return array("q", primes_upto(_TRIAL_LIMIT).tobytes())
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -219,12 +222,15 @@ def mobius(n) -> int:
     return -1 if len(fi.factors) % 2 else 1
 
 
+@lru_cache(maxsize=1 << 12, typed=True)
 def jordan(k: int, n) -> int:
     """Jordan totient J_k(n) = n^k * prod_{p|n} (1 - p^-k), exactly.
 
     Computed as prod over prime powers p^e || n of (p^(ke) - p^(k(e-1))).
     J_1 is Euler's phi; J_k(n) also counts k-tuples mod n whose gcd with
-    n is 1.
+    n is 1.  Memoized: the exact local-factor grid asks for the same few
+    hundred values over and over.  The cache is typed, so jordan(2, True)
+    still refuses the bool instead of returning the cached J_2(1).
     """
     if k < 1:
         raise ValueError(f"jordan requires k >= 1, got {k}")

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import mul
 
 import numpy as np
 
@@ -442,7 +444,9 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
 def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> float:
     """sum_{r <= R} fhat[r] * ghat[r] * c_r^s(h) for coefficient tables
     fhat, ghat on r = 0..R, R = len(fhat) - 1 (entry 0 is ignored), as
-    one fsum over the terms with a nonzero weight fhat[r] * ghat[r].
+    one fsum over the terms with a nonzero weight fhat[r] * ghat[r],
+    read in chunks of _CHUNK terms (fsum is correctly rounded, so the
+    chunking does not change the result).
 
     c_r^s(h) is multiplicative in r; it is tabulated exactly, as Python
     ints, from crs_fast at the prime powers up to R, so a large h or s
@@ -456,8 +460,9 @@ def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> flo
     weights = np.multiply(fhat[1:], ghat[1:])
     support = np.flatnonzero(weights)
     crs = multiplicative_table(len(fhat) - 1, lambda p, e: crs_fast(p**e, s, h), object)
-    return math.fsum(w * c for w, c in zip(weights[support].tolist(),
-                                          crs[support + 1].tolist()))
+    chunks = (support[lo : lo + _CHUNK] for lo in range(0, len(support), _CHUNK))
+    return math.fsum(chain.from_iterable(
+        map(mul, weights[idx].tolist(), crs[idx + 1].tolist()) for idx in chunks))
 
 
 def expansion_coefficients(s: int, power: int, R: int) -> np.ndarray:

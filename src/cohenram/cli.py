@@ -38,6 +38,7 @@ from .expansions import (
 )
 from .asymptotics import (
     AsymptoticQuery,
+    _CHUNK,
     _product_bytes,
     asymptotic_verify,
     expansion_coefficients,
@@ -330,10 +331,11 @@ def _run_main_term(config: RunConfig) -> int:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
     # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
-    # 120 bytes per r for its ~32-byte ints, the weights, their support
-    # and the lists fsum reads, and the product's primes
+    # 48 bytes per r for its ~32-byte ints, the weights and their support,
+    # 80 bytes per term of the one chunk fsum reads, and the product's primes
     tables = 1 if b == a else 2
-    need = (tables + 1) * _table_bytes(R, 8) + 120 * R + _product_bytes(R)
+    need = ((tables + 1) * _table_bytes(R, 8) + 48 * R + 80 * min(R, _CHUNK)
+            + _product_bytes(R))
     _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)

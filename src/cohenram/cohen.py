@@ -158,6 +158,7 @@ def crs_divisor_sum(r: int, s: int, n: int) -> int:
     return total
 
 
+@lru_cache(maxsize=1 << 13, typed=True)
 def crs_fast(r: int, s: int, n: int) -> int:
     """c_r^s(n) via multiplicativity in r and the prime-power rule:
 
@@ -167,7 +168,9 @@ def crs_fast(r: int, s: int, n: int) -> int:
 
     This is the production evaluator.  The arguments are checked inline;
     building a CohenSumQuery on every call is a measurable share of the
-    exact local-factor grid.
+    exact local-factor grid.  Memoized, since that grid repeats a few
+    thousand (q, s, n^s) keys; the cache is typed, so a bool or float r
+    is still refused rather than answered from an int key.
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments

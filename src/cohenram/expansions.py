@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -99,12 +99,17 @@ def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
     """mu(q) c_q^s(n^s) / J_{s+k}(q) for q = 0..Q as float64 (entry 0 is
     0), built by multiplicative_table from its value
     -c_p^s(n^s) / J_{s+k}(p) at each prime; non-squarefree q give 0.
+    At a prime both are closed forms, c_p^s(n^s) = p^s - 1 if p | n and
+    -1 otherwise, and J_{s+k}(p) = p^(s+k) - 1: the same ints crs_fast
+    and jordan return, without factorizing p.
     Each entry is a product of omega(q) rounded factors, within
     2 omega(q) 2^-53 relative of the exact value."""
-    ns = n**s
 
     def local(p: int, e: int) -> float:
-        return -crs_fast(p, s, ns) / jordan(s + k, p) if e == 1 else 0.0
+        if e > 1:
+            return 0.0
+        crs = p**s - 1 if n % p == 0 else -1
+        return -crs / (p ** (s + k) - 1)
 
     return multiplicative_table(Q, local)
 
@@ -170,11 +175,10 @@ def local_factor_exact(s: int, k: int, n: int,
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
     sk, qp = s + k, math.prod(pset)
 
-    num = 0
-    for size in range(len(pset) + 1):  # mu(q) = (-1)^size
-        part = sum(crs_fast(q, s, ns) * jordan(sk, qp // q)
-                   for q in map(math.prod, combinations(pset, size)))
-        num += -part if size % 2 else part
+    signed = [(1, 1)]  # (q, mu(q)) for every q | Q_P
+    for p in pset:
+        signed += [(q * p, -mu) for q, mu in signed]
+    num = sum(mu * crs_fast(q, s, ns) * jordan(sk, qp // q) for q, mu in signed)
     lhs = Fraction(num, jordan(sk, qp))
 
     jp = [jordan(sk, p) for p in pset]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohenram.arith import (
     FactoredInteger,
+    _trial_primes,
     divisor_sigma,
     divisors,
     factorize,
@@ -17,6 +18,7 @@ from cohenram.arith import (
     jordan,
     mobius,
     multiplicative_table,
+    primes_upto,
     tau,
     tau_s,
     zeta,
@@ -55,6 +57,24 @@ def test_factorize_rejects_out_of_range():
         factorize(2**63)
     with pytest.raises(ValueError):
         factorize(1.5)
+
+
+def test_trial_primes_are_the_sieved_primes():
+    # held as an int64 array, not a list of Python ints, with the same values
+    primes = _trial_primes()
+    assert primes.typecode == "q"
+    assert primes.tolist() == primes_upto(10**6).tolist()
+
+
+def test_factorize_across_the_trial_limit():
+    # around the largest trial prime 999983, its square, and a product of
+    # two primes above 10^6 (the Pollard rho path); against sympy
+    p, q = 1_000_003, 1_000_033
+    assert sympy.isprime(p) and sympy.isprime(q) and sympy.prevprime(10**6) == 999_983
+    sample = [2, 999_983, 999_983**2, 2**5 * 999_983, 3 * p, p * q, p * p,
+              2 * 3 * p * q, 999_983 * p, 10**6, 10**12 + 39, 2**62 - 57]
+    for n in sample:
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
 
 
 def test_factorize_matches_sympy_on_a_block():
@@ -109,6 +129,14 @@ def test_jordan_values():
 def test_jordan_matches_counting_definition(k):
     for n in range(1, 13 if k < 3 else 9):
         assert jordan(k, n) == _jordan_count(k, n)
+
+
+def test_jordan_cache_is_typed_and_bounded():
+    assert jordan(2, 1) == 1 and jordan(2, 1) == 1
+    assert jordan.cache_info().maxsize == 1 << 12
+    # the int key is cached; a bool equal to it is still refused
+    with pytest.raises(ValueError):
+        jordan(2, True)
 
 
 def test_jordan_one_is_phi():

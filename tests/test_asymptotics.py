@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import jordan, mobius, tau, zeta
+from cohenram.arith import jordan, mobius, multiplicative_table, tau, zeta
 from cohenram.cohen import crs_fast, shift_decompose
 from cohenram.asymptotics import (
     AsymptoticQuery,
@@ -18,7 +18,7 @@ from cohenram.asymptotics import (
     lhs_sum,
     rhs_product,
 )
-from cohenram.asymptotics import _lhs_windows
+from cohenram.asymptotics import _CHUNK, _lhs_windows
 from cohenram.arith import MemoryBudgetError
 
 
@@ -342,6 +342,20 @@ def test_general_main_term_large_shift_is_exact():
     ones, only_r = np.ones(r + 1), np.zeros(r + 1)
     only_r[r] = 1.0
     assert general_main_term(ones, only_r, s, h) == float(want)
+
+
+def test_general_main_term_chunks_are_bit_identical():
+    # fsum is correctly rounded, so reading the terms in chunks gives the
+    # fsum of the whole lists bit for bit; the support spans two chunks
+    s, a, b, h, R = 2, 3, 4, 12, 2 * _CHUNK
+    fa, fb = expansion_coefficients(s, a, R), expansion_coefficients(s, b, R)
+    weights = np.multiply(fa[1:], fb[1:])
+    support = np.flatnonzero(weights)
+    assert _CHUNK < len(support) < 2 * _CHUNK
+    crs = multiplicative_table(R, lambda p, e: crs_fast(p**e, s, h), object)
+    want = math.fsum(w * c for w, c in zip(weights[support].tolist(),
+                                          crs[support + 1].tolist()))
+    assert general_main_term(fa, fb, s, h).hex() == want.hex()
 
 
 def test_series_approaches_product():

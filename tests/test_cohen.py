@@ -207,6 +207,17 @@ def test_evaluators_reject_bad_arguments():
                 fn(*args)
 
 
+def test_crs_fast_cache_is_typed_and_bounded():
+    assert crs_fast(1, 1, 5) == 1 and crs_fast(1, 1, 5) == 1
+    assert crs_fast.cache_info().maxsize == 1 << 13
+    # the int key (1, 1, 5) is cached; a bool or float r equal to 1 is
+    # still refused rather than answered from it
+    with pytest.raises(ValueError):
+        crs_fast(True, 1, 5)
+    with pytest.raises(ValueError):
+        crs_fast(1.0, 1, 5)
+
+
 def test_direct_term_guard():
     assert 100**4 > DIRECT_TERM_GUARD
     with pytest.raises(ValueError, match="guard"):

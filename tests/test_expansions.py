@@ -7,7 +7,8 @@ from itertools import combinations
 
 import pytest
 
-from cohenram.arith import factorize, jordan, mobius, zeta
+from cohenram import expansions
+from cohenram.arith import factorize, jordan, mobius, primes_upto, zeta
 from cohenram.cohen import crs_fast
 from cohenram.expansions import (
     _CHUNK,
@@ -90,6 +91,17 @@ def test_expansion_terms_match_pointwise():
             assert err <= 2 * omega * Fraction(1, 2**53), (s, k, n, q)
 
 
+def test_expansion_terms_at_primes_are_bit_identical():
+    # the closed forms at a prime give the same ints crs_fast and jordan
+    # return, so the same floats
+    primes = primes_upto(10**4).tolist()
+    for s, k, n in [(1, 1, 1), (1, 2, 30), (2, 1, 12), (2, 3, 25), (3, 1, 7), (3, 3, 90)]:
+        terms = _expansion_terms(s, k, n, 10**4)
+        for p in primes:
+            want = -crs_fast(p, s, n**s) / jordan(s + k, p)
+            assert terms[p].hex() == want.hex(), (s, k, n, p)
+
+
 def test_chunked_partial_sums_are_bit_identical():
     # fsum is correctly rounded, so reading the table in chunks gives the
     # sum of one whole list bit for bit; Q ends inside a fourth chunk
@@ -150,6 +162,30 @@ def test_local_factor_exact_matches_manual_sum():
                 want += Fraction(mobius(q) * crs_fast(q, s, n**s), jordan(s + k, q))
         lhs, rhs = local_factor_exact(s, k, n, pset)
         assert lhs == want == rhs
+
+
+def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
+    # the lhs reads crs_fast at every q | Q_P and jordan at every Q_P/q,
+    # composite ones included, so it is never built from the rhs factors
+    seen_crs, seen_jordan = set(), set()
+
+    def spy_crs(r, s, n):
+        seen_crs.add(r)
+        return crs_fast(r, s, n)
+
+    def spy_jordan(k, n):
+        seen_jordan.add(n)
+        return jordan(k, n)
+
+    monkeypatch.setattr(expansions, "crs_fast", spy_crs)
+    monkeypatch.setattr(expansions, "jordan", spy_jordan)
+    pset = (2, 3, 5, 7)
+    divisors_qp = {math.prod(sub) for size in range(5) for sub in combinations(pset, size)}
+    assert len(divisors_qp) == 16
+    lhs, rhs = local_factor_exact(2, 3, 12, pset)
+    assert lhs == rhs
+    assert seen_crs >= divisors_qp
+    assert seen_jordan >= {210 // q for q in divisors_qp}
 
 
 def test_local_factor_exact_rejects_non_primes():
