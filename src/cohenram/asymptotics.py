@@ -262,7 +262,7 @@ def _lhs_checkpoints_of(N: int) -> list[int]:
 def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     """lhs_sum's two windows with the bytes of their tables and of the
     larger of one build's temporaries and one summation chunk's (the
-    products and the Python floats fsum reads).
+    products and _chunk_sum's hi and lo, 24 bytes an entry).
 
     Before any of that, the (block, sieving prime) steps of the builds
     are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
@@ -278,8 +278,34 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
             f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
             f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
     tables = sum(8 * (hi - lo + 1) for _, lo, hi in windows)
-    temps = max(40 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows))
+    temps = max(24 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows))
     return wa, wb, tables, temps
+
+
+def _chunk_sum(seg: np.ndarray) -> float:
+    """The correctly rounded sum of at most _CHUNK float64 entries in
+    [1/2, 1], bit for bit math.fsum's, from two numpy sums (Dekker's
+    splitting, Numer. Math. 18, 1971).
+
+    Every such entry is a multiple of 2^-53.  Rounding it to a multiple
+    of 2^-26 gives hi, and lo = entry - hi; both are exact, and
+    |lo| <= 2^-27.  Over at most 2^16 entries every partial sum of the
+    hi is at most 2^42 units of 2^-26, and every partial sum of the lo
+    at most 2^42 units of 2^-53, so both numpy sums are exact in any
+    order.  Adding the two is then a single rounding of the exact total.
+    An entry outside [1/2, 1], a NaN or a longer chunk voids the
+    argument and raises InternalAssertionError.  Allocates hi and lo,
+    16 bytes an entry.
+    """
+    if seg.size > _CHUNK or not (seg.min() >= 0.5 and seg.max() <= 1.0):
+        raise InternalAssertionError(
+            f"an exact chunk sum needs at most {_CHUNK} summands in [1/2, 1], "
+            f"got {seg.size} in [{float(seg.min())!r}, {float(seg.max())!r}]")
+    hi = np.multiply(seg, 2.0**26)
+    np.rint(hi, out=hi)
+    hi *= 2.0**-26
+    lo = seg - hi
+    return float(hi.sum()) + float(lo.sum())
 
 
 def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
@@ -292,8 +318,12 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     gives their error bound.  The budget counts 8 bytes per entry of
     each distinct window plus the temporaries of one block build or of
     one summation chunk, whichever is larger (see _lhs_plan, which also
-    refuses a huge shift first).  Accumulation is fsum-compensated over
-    fixed-size chunks, so results are identical run to run.
+    refuses a huge shift first).  Each chunk of at most _CHUNK products
+    is summed exactly and rounded once by _chunk_sum, which needs every
+    product in [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so
+    a, b >= 3 and every ratio is at least 1/zeta(3) > 0.83.  Each
+    checkpoint is the fsum of the chunk sums so far, so results are
+    identical run to run.
     """
     h, N = query.h, query.N
     wa, wb, tables, temps = _lhs_plan(query)
@@ -309,8 +339,7 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     for mark in _lhs_checkpoints_of(N):
         for lo in range(prev, mark + 1, _CHUNK):
             hi = min(mark + 1, lo + _CHUNK)
-            seg = ra[lo:hi] * rb[lo + shift : hi + shift]
-            chunk_sums.append(math.fsum(seg.tolist()))
+            chunk_sums.append(_chunk_sum(ra[lo:hi] * rb[lo + shift : hi + shift]))
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1
     return out
@@ -441,16 +470,33 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
                             tolerance, converged, notes)
 
 
+def _crs_table(R: int, s: int, h: int) -> np.ndarray:
+    """c_r^s(h) for r = 0..R (entry 0 is 0) as exact Python ints in an
+    object table, so a large h or s cannot wrap a fixed-width integer.
+
+    c_r^s(h) is multiplicative in r, and each prime power takes the rule
+    crs_fast applies in closed form: c_{p^e}^s(h) = p^(se) - p^(s(e-1))
+    if p^(se) | h, -p^(s(e-1)) if only p^(s(e-1)) | h, and 0 otherwise.
+    crs_fast itself is not called, so the table's one-off prime powers
+    leave its cache alone.
+    """
+
+    def local(p: int, e: int) -> int:
+        below = p ** (s * (e - 1))
+        if h % below:
+            return 0
+        return below * (p**s - 1) if h % (below * p**s) == 0 else -below
+
+    return multiplicative_table(R, local, object)
+
+
 def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> float:
     """sum_{r <= R} fhat[r] * ghat[r] * c_r^s(h) for coefficient tables
     fhat, ghat on r = 0..R, R = len(fhat) - 1 (entry 0 is ignored), as
     one fsum over the terms with a nonzero weight fhat[r] * ghat[r],
     read in chunks of _CHUNK terms (fsum is correctly rounded, so the
-    chunking does not change the result).
-
-    c_r^s(h) is multiplicative in r; it is tabulated exactly, as Python
-    ints, from crs_fast at the prime powers up to R, so a large h or s
-    cannot wrap a fixed-width integer.
+    chunking does not change the result).  The c_r^s(h) are exact ints
+    from _crs_table.
     """
     if s < 1 or h < 1:
         raise ValueError(f"s and h must be >= 1, got {(s, h)}")
@@ -459,7 +505,7 @@ def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> flo
             f"coefficient tables must share a length >= 2, got {len(fhat)} and {len(ghat)}")
     weights = np.multiply(fhat[1:], ghat[1:])
     support = np.flatnonzero(weights)
-    crs = multiplicative_table(len(fhat) - 1, lambda p, e: crs_fast(p**e, s, h), object)
+    crs = _crs_table(len(fhat) - 1, s, h)
     chunks = (support[lo : lo + _CHUNK] for lo in range(0, len(support), _CHUNK))
     return math.fsum(chain.from_iterable(
         map(mul, weights[idx].tolist(), crs[idx + 1].tolist()) for idx in chunks))

@@ -18,8 +18,9 @@ from cohenram.asymptotics import (
     lhs_sum,
     rhs_product,
 )
-from cohenram.asymptotics import _CHUNK, _lhs_windows
-from cohenram.arith import MemoryBudgetError
+from cohenram import asymptotics
+from cohenram.asymptotics import _CHUNK, _chunk_sum, _crs_table, _lhs_windows
+from cohenram.arith import InternalAssertionError, MemoryBudgetError
 
 
 def naive_lhs(a, b, h, N):
@@ -105,10 +106,79 @@ def test_lhs_memory_budget():
 
 
 def test_lhs_budget_counts_float_tables():
-    # one float64 table on [0, 102400] plus one summation chunk's
-    # temporaries (larger than one block build's) is ~3.4 MB
+    # one float64 table on [0, 102400] plus one block build's temporaries
+    # (larger than one summation chunk's products, hi and lo) is ~3.6 MB
     got = lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**5), memory_budget=4_000_000)
     assert got[-1][0] == 10**5
+
+
+# L(N) checkpoints as float.hex, recorded when every chunk was summed
+# with math.fsum over its Python floats: the README reference
+# configurations, a shifted-far shift (h >= 10 N) and a huge shift
+LHS_PINS = {
+    (2, 3, 3, 12, 10**6): [(10**4, "0x1.0c09da99bede8p+13"),
+                           (10**5, "0x1.4f0c323e6bfaap+16"),
+                           (10**6, "0x1.a2cf3ad009f84p+19")],
+    (2, 4, 3, 4, 10**6): [(10**4, "0x1.170874f80097bp+13"),
+                          (10**5, "0x1.5cca6d3163270p+16"),
+                          (10**6, "0x1.b3fd03b2c9c29p+19")],
+    (2, 3, 4, 1014185, 10**5): [(10**4, "0x1.15d5f75308d66p+13"),
+                                (10**5, "0x1.5b4b6c120c68ep+16")],
+    (2, 3, 4, 10**12, 10): [(10, "0x1.1e341725943d4p+3")],
+}
+
+
+@pytest.mark.parametrize("key", list(LHS_PINS))
+def test_lhs_checkpoints_are_pinned_bit_for_bit(key):
+    got = lhs_sum(AsymptoticQuery(*key))
+    assert [(n, v.hex()) for n, v in got] == LHS_PINS[key]
+
+
+def _fsum_hex(seg):
+    return math.fsum(seg.tolist()).hex()
+
+
+def test_chunk_sum_matches_fsum_on_every_lhs_chunk(monkeypatch):
+    sizes = []
+
+    def checked(seg):
+        want = _fsum_hex(seg)
+        got = _chunk_sum(seg)
+        assert got.hex() == want
+        sizes.append(seg.size)
+        return got
+
+    monkeypatch.setattr(asymptotics, "_chunk_sum", checked)
+    for key in list(LHS_PINS)[:3]:
+        lhs_sum(AsymptoticQuery(*key))
+    # 1 + 2 + 14 chunks at N = 10^6 (checkpoints 10^4, 10^5), 1 + 2 at 10^5
+    assert len(sizes) == 2 * 17 + 3 and max(sizes) == _CHUNK
+
+
+def test_chunk_sum_matches_fsum_on_edge_chunks():
+    rng = np.random.default_rng(8)
+    ones = np.ones(_CHUNK)
+    # 2^16 - 1 ones and one 1/2 + 2^-38 or 1/2 + 3 * 2^-38: the exact
+    # totals lie halfway between floats 2^-37 apart, and ties go to even
+    down, up = ones.copy(), ones.copy()
+    down[-1], up[-1] = 0.5 + 2.0**-38, 0.5 + 3 * 2.0**-38
+    assert _chunk_sum(down) == _CHUNK - 0.5
+    assert _chunk_sum(up) == _CHUNK - 0.5 + 2.0**-36
+    cases = [ones, np.full(_CHUNK, np.nextafter(0.5, 1.0)), np.array([0.5]),
+             np.array([1.0]), rng.uniform(0.5, 1.0, _CHUNK), down, up]
+    cases += [rng.uniform(0.5, 1.0, n) for n in rng.integers(1, _CHUNK, 30)]
+    for seg in cases:
+        assert _chunk_sum(seg).hex() == _fsum_hex(seg), seg.size
+
+
+@pytest.mark.parametrize("bad", [0.4999, np.nextafter(1.0, 2.0), np.nan])
+def test_chunk_sum_refuses_summands_outside_its_range(bad):
+    seg = np.full(100, 0.75)
+    seg[37] = bad
+    with pytest.raises(InternalAssertionError, match="needs at most"):
+        _chunk_sum(seg)
+    with pytest.raises(InternalAssertionError, match="needs at most"):
+        _chunk_sum(np.ones(_CHUNK + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +426,23 @@ def test_general_main_term_chunks_are_bit_identical():
     want = math.fsum(w * c for w, c in zip(weights[support].tolist(),
                                           crs[support + 1].tolist()))
     assert general_main_term(fa, fb, s, h).hex() == want.hex()
+
+
+def test_crs_table_matches_crs_fast():
+    # h = 2^10 3^4 5^2 at s = 2 reaches all three prime-power cases at
+    # e >= 2; the last shift is far beyond int64
+    for s, h in [(1, 12), (2, 12), (2, 2**10 * 3**4 * 5**2), (3, 720720),
+                 (2, 10**12 + 39), (5, 2**40 * 3**15 * 7**10)]:
+        table = _crs_table(5000, s, h)
+        assert table[0] == 0
+        assert table[1:].tolist() == [crs_fast(r, s, h) for r in range(1, 5001)], (s, h)
+
+
+def test_general_main_term_leaves_the_crs_fast_cache_alone():
+    fa, fb = expansion_coefficients(2, 3, 10**4), expansion_coefficients(2, 4, 10**4)
+    before = crs_fast.cache_info()
+    general_main_term(fa, fb, 2, 12)
+    assert crs_fast.cache_info() == before
 
 
 def test_series_approaches_product():
