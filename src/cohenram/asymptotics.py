@@ -66,9 +66,14 @@ _BLOCK = 1 << 16  # entries per block of a windowed ratio-table build
 _BUCKET = 4096  # window ends are rounded to multiples of this
 # (block, sieving prime) pairs lhs_sum's table builds may visit: admits
 # N up to about 3*10^8 with a small h, and h up to about 2*10^16 with a
-# short N (sieving primes to 1.4*10^8); refuses h = 10^17 at once
+# short N (sqrt(N + h) to 1.4*10^8); refuses h = 10^17 at once
 _SIEVE_WORK_LIMIT = 10**7
 _ZETA_PRECISION = 1e-12
+_CHECK_R = 100  # asymptotic_verify re-checks c_r^s(h) = c_r^s(m^s) for r <= this
+# bytes charged for each cache entry that check adds (about 200 measured)
+# and for the small objects of one asymptotic_verify call (about 6 KB)
+_ENTRY_BYTES = 256
+_CALL_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -172,10 +177,20 @@ class AsymptoticReport:
         return "".join(f"{n} {rho!r}\n" for n, rho in self.ratios)
 
 
-def _factor_cap(k: int, hi: int) -> int:
-    """A bound past which 1 - P^-k rounds to 1.0 (P^-k <= 2^-54), capped
-    at hi: only residual primes up to it change an entry."""
-    return min(hi, int(2 ** (54 / k)) + 1)
+def _factor_cap(c: int, hi: int) -> int:
+    """The last prime worth visiting, capped at hi, for a float factor
+    1 +- x with 0 <= x <= p^-c: past it the factor is exactly 1.0.
+
+    A prime p above the cap has p^c > 2^54.  Then x, whether computed
+    as 1.0/p**c, as libm's faithfully rounded p ** -c or as a correctly
+    rounded quotient of ints below p^-c, is at most 2^-54, since 2^-54
+    is a float.  1.0 - x lies in [1 - 2^-54, 1], whose nearest float is
+    1.0 (at 1 - 2^-54 the tie goes to the even 1.0), and 1.0 + x lies in
+    [1, 1 + 2^-54], which also rounds to 1.0.  Multiplying by 1.0 is
+    exact, so a product or a table that stops at the cap keeps every
+    bit.
+    """
+    return min(hi, int(2 ** (54 / c)) + 1)
 
 
 @lru_cache(maxsize=8)
@@ -188,16 +203,18 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
     n is divided by p at every power of p.  What is left is 1 or the one
     prime P > sqrt(hi) of n, whose factor 1 - P^-k comes last, looked up
     in a table of Python floats for P up to _factor_cap (beyond it the
-    factor is 1.0 and the residual is not kept at all).  So the factors
-    come in the order and with the values multiplicative_table uses, and
-    an entry equals that table's bit for bit: a product of omega(n)
-    rounded factors, within 2 omega(n) 2^-53 relative of the exact value.
+    factor is 1.0 and the residual is not kept at all).  Sieving primes
+    past the cap are skipped too, since their factor is 1.0 as well.  So
+    the factors other than 1.0 come in the order and with the values
+    multiplicative_table uses, and an entry equals that table's bit for
+    bit: a product of omega(n) rounded factors, within 2 omega(n) 2^-53
+    relative of the exact value.
     Memory is the output plus one block's temporaries and, for k >= 3,
     a factor table of at most 2^18 + 2 entries, whatever lo is.
     """
     out = np.empty(hi - lo + 1)
     root, cap = math.isqrt(hi), _factor_cap(k, hi)
-    primes = primes_upto(max(root, cap))
+    primes = primes_upto(cap)
     n_small = int(np.searchsorted(primes, root, side="right"))
     large, primes = primes[n_small:], primes[:n_small]
     track = large.size > 0  # else every residual's factor is 1.0
@@ -229,7 +246,9 @@ def _build_bytes(k: int, lo: int, hi: int) -> int:
     """Peak bytes of _ratio_array(k, lo, hi) besides its output: one
     block's residual and gathered factors, the factor table and the two
     Python lists (ints and floats, 68 bytes a prime) it is filled from,
-    the primes and the per-block offsets of the sieving primes."""
+    the primes and the per-block offsets of the sieving primes.  Primes
+    are charged up to max(sqrt(hi), cap), an upper bound on the sieve,
+    which stops at the cap."""
     root, cap = math.isqrt(hi), _factor_cap(k, hi)
     return (16 * min(_BLOCK, hi - lo + 1) + 8 * (cap + 2)
             + 68 * _prime_count_bound(cap)
@@ -266,7 +285,8 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
 
     Before any of that, the (block, sieving prime) steps of the builds
     are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
-    once.
+    once.  Steps are counted for every prime to sqrt(hi), an upper bound
+    on a sieve that stops at _factor_cap.
     """
     h, N = query.h, query.N
     wa, wb = _lhs_windows(query.a, query.b, h, N)
@@ -348,7 +368,8 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
 def _product_bytes(P: int) -> int:
     """Peak bytes of rhs_product to the prime cutoff P: the sieve's flags
     and int64 primes, and the list of Python ints its loop reads (an
-    8-byte slot and a 28-byte int per prime)."""
+    8-byte slot and a 28-byte int per prime).  An upper bound, since
+    the loop stops at _factor_cap."""
     return _primes_bytes(P) + 36 * _prime_count_bound(P)
 
 
@@ -359,6 +380,13 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
     c_p^s(m^s) of the prime-level Cohen-Ramanujan sum.  The omitted tail
     is bounded by exp(sum_{p > P} 2 p^-(s+min(a,b))) - 1 via integral
     comparison, and reported alongside the value.
+
+    The loop stops at _factor_cap(s + min(a, b), P).  Past it both
+    factors of the base and the subtracted 1/p^(a+b+2s) round away, and
+    so does the added (p^s - 1)/p^(a+b+2s) < p^-(s+min(a,b)) at a
+    dividing prime, so every omitted factor is exactly 1.0 and the value
+    keeps every bit of the product to P.  The refusal of a prime of m
+    above P, the reported cutoff and the tail bound still use P.
     """
     s, a, b, P = query.s, query.a, query.b, query.prime_cutoff
     m, kfree = shift_decompose(query.h, s)
@@ -375,8 +403,9 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
         nondividing_factor=(f"(1 - p^-{s + a})*(1 - p^-{s + b})"
                             f" - 1/p^{a + b + 2 * s}"),
     )
+    c = s + min(a, b)
     value = 1.0
-    for p in primes_upto(P).tolist():
+    for p in primes_upto(_factor_cap(c, P)).tolist():
         base = (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
         if m % p == 0:
             factor = base + (p**s - 1) / p ** (a + b + 2 * s)
@@ -387,7 +416,6 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
                 f"local factor {factor!r} at p = {p} escapes (0, 2)")
         value *= factor
 
-    c = s + min(a, b)
     tail_bound = math.expm1(2.0 * P ** (1 - c) / (c - 1))
     return EulerProductResult(value, tail_bound, m, kfree, spec)
 
@@ -407,7 +435,9 @@ def joint_density_product(query: AsymptoticQuery) -> EulerProductResult:
     [1 - 2 p^-(c+1), 1) with c = min(a, b), so the tail is bounded by
     exp(sum_{p > P} 2 p^-(c+1)) - 1 <= exp(2 P^-c / c) - 1 via integral
     comparison.  Primes of h above the cutoff are covered by this bound,
-    not refused.
+    not refused.  The loop stops at _factor_cap(c + 1, P), past which
+    every factor is exactly 1.0, so the value is the product to P bit
+    for bit.
     """
     a, b, h, P = query.a, query.b, query.h, query.prime_cutoff
     spec = EulerProductSpec(
@@ -415,16 +445,30 @@ def joint_density_product(query: AsymptoticQuery) -> EulerProductResult:
         dividing_factor=f"1 - p^-{a + 1} - p^-{b + 1} + p^-{a + b + 1}",
         nondividing_factor=f"1 - p^-{a + 1} - p^-{b + 1}",
     )
+    c = min(a, b)
     value = 1.0
-    for p in primes_upto(P).tolist():
+    for p in primes_upto(_factor_cap(c + 1, P)).tolist():
         factor = 1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
         if h % p == 0:
             factor += 1.0 / p ** (a + b + 1)
         value *= factor
 
-    c = min(a, b)
     tail_bound = math.expm1(2.0 * P ** -c / c)
     return EulerProductResult(value, tail_bound, h, 1, spec)
+
+
+def _verify_bytes(query: AsymptoticQuery) -> int:
+    """Peak bytes asymptotic_verify charges: lhs_sum's tables, which its
+    cache keeps alive while the product runs, plus the larger of their
+    temporaries and the product's primes (_product_bytes), plus the
+    entries the reduction check adds to fresh crs_fast and factorize
+    caches (two crs_fast keys and one factorize key per r) and the
+    call's own small objects.  Entries already cached by earlier calls,
+    and factorize's table of trial primes, which lives for the whole
+    process once built, are outside the charge."""
+    _, _, tables, temps = _lhs_plan(query)
+    return (tables + max(temps, _product_bytes(query.prime_cutoff))
+            + 3 * _CHECK_R * _ENTRY_BYTES + _CALL_BYTES)
 
 
 def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
@@ -434,24 +478,20 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
     converged means the final |ratio - 1| is below tolerance and
     |ratio - 1| did not increase across the last two checkpoints.  The
     reduction c_r^s(h) = c_r^s(m^s) is re-verified for r <= 100 before
-    any heavy work.  The memory budget is checked next, before anything
-    is built: lhs_sum's tables, which its cache keeps alive while the
-    product runs, plus the larger of their temporaries and the product's
-    primes (_product_bytes).
+    any heavy work.  The memory budget is checked next, against
+    _verify_bytes, before anything is built.
     """
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     m, kfree = shift_decompose(query.h, query.s)
-    for r in range(1, 101):
+    for r in range(1, _CHECK_R + 1):
         if crs_fast(r, query.s, query.h) != crs_fast(r, query.s, m**query.s):
             raise InternalAssertionError(
                 f"c_r^s(h) != c_r^s(m^s) at r = {r} for h = {query.h}, s = {query.s}")
 
-    _, _, tables, temps = _lhs_plan(query)
-    P = query.prime_cutoff
     _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
-                  f"{query.h + query.N}] and the Euler product to P = {P}",
-                  tables + max(temps, _product_bytes(P)), memory_budget)
+                  f"{query.h + query.N}] and the Euler product to "
+                  f"P = {query.prime_cutoff}", _verify_bytes(query), memory_budget)
     checkpoints = tuple(lhs_sum(query))
     rhs = rhs_product(query)
     ratios = []

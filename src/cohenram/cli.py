@@ -19,6 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .arith import (
@@ -84,6 +85,7 @@ def _env_int(name: str) -> int | None:
         raise _UsageError(f"{name} must be an integer, got {raw!r}") from None
 
 
+@cache  # built once per process: parse_args leaves the tree unchanged
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("plain", "json", "csv"),

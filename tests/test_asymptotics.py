@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import jordan, mobius, multiplicative_table, tau, zeta
+from cohenram.arith import jordan, mobius, multiplicative_table, primes_upto, tau, zeta
 from cohenram.cohen import crs_fast, shift_decompose
 from cohenram.asymptotics import (
     AsymptoticQuery,
@@ -19,7 +23,8 @@ from cohenram.asymptotics import (
     rhs_product,
 )
 from cohenram import asymptotics
-from cohenram.asymptotics import _CHUNK, _chunk_sum, _crs_table, _lhs_windows
+from cohenram.asymptotics import (
+    _CHUNK, _chunk_sum, _crs_table, _factor_cap, _lhs_windows, _ratio_array)
 from cohenram.arith import InternalAssertionError, MemoryBudgetError
 
 
@@ -125,6 +130,9 @@ LHS_PINS = {
     (2, 3, 4, 1014185, 10**5): [(10**4, "0x1.15d5f75308d66p+13"),
                                 (10**5, "0x1.5b4b6c120c68ep+16")],
     (2, 3, 4, 10**12, 10): [(10, "0x1.1e341725943d4p+3")],
+    # recorded when the sieving primes still ran to sqrt(N + h)
+    (2, 3, 4, 10**14, 10): [(10, "0x1.1e332626afb46p+3")],
+    (2, 3, 4, 10**16, 10): [(10, "0x1.1e309c4886dbfp+3")],
 }
 
 
@@ -302,6 +310,80 @@ def test_joint_density_tail_bound_is_honest():
 
 
 # ---------------------------------------------------------------------------
+# primes past _factor_cap: their float factor is exactly 1.0
+
+def uncapped_rhs(s, a, b, m, P):
+    """rhs_product's loop over every prime up to P."""
+    value = 1.0
+    for p in primes_upto(P).tolist():
+        base = (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
+        if m % p == 0:
+            value *= base + (p**s - 1) / p ** (a + b + 2 * s)
+        else:
+            value *= base - 1.0 / p ** (a + b + 2 * s)
+    return value
+
+
+def uncapped_joint_density(a, b, h, P):
+    """joint_density_product's loop over every prime up to P."""
+    value = 1.0
+    for p in primes_upto(P).tolist():
+        factor = 1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
+        if h % p == 0:
+            factor += 1.0 / p ** (a + b + 1)
+        value *= factor
+    return value
+
+
+@pytest.mark.parametrize("s, a, b", [(2, 3, 4), (2, 5, 3), (3, 4, 6), (4, 4, 5)])
+def test_rhs_product_cap_keeps_every_bit(s, a, b):
+    cap = _factor_cap(s + min(a, b), 10**6)
+    for P in (cap - 1, cap, cap + 1, 10**5):
+        for h in (12, 1, 6**s * 5):
+            got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P))
+            want = uncapped_rhs(s, a, b, got.m, P)
+            assert got.value.hex() == want.hex(), (P, h)
+            assert got.spec.prime_cutoff == P
+
+
+# s = 2, a = 3, b = 4: the cap is the prime 1783, and these m have a
+# prime at or above it
+@pytest.mark.parametrize("h, P", [(1783**2, 1783), (1783**2, 1784), (3 * 1787**2, 1787),
+                                  (3 * 1787**2, 10**4), (10007**2, 10**5),
+                                  (4 * 99991**2, 10**5)])
+def test_rhs_product_cap_with_dividing_primes_above_it(h, P):
+    assert _factor_cap(5, 10**5) == 1783
+    got = rhs_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P))
+    assert got.value.hex() == uncapped_rhs(2, 3, 4, got.m, P).hex()
+
+
+# a = 3, b = 4: the cap is 11586, between the primes 11579 and 11587
+@pytest.mark.parametrize("h, P", [(12, 11585), (12, 11586), (12, 11587),
+                                  (12 * 11587, 11587), (12 * 11587, 10**5),
+                                  (99991, 10**5), (1, 3 * 10**5)])
+def test_joint_density_cap_keeps_every_bit(h, P):
+    assert _factor_cap(4, 10**5) == 11586
+    got = joint_density_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P))
+    assert got.value.hex() == uncapped_joint_density(3, 4, h, P).hex()
+
+
+# windows at 10^12 (k = 3, cap 262145) and 10^14 (k = 4, cap 11586),
+# centred on a multiple of the last prime below the cap or the first
+# prime above it, which is no longer a sieving prime
+@pytest.mark.parametrize("k, p, at", [(3, 262139, 10**12), (3, 262147, 10**12),
+                                      (4, 11579, 10**14), (4, 11587, 10**14)])
+def test_far_ratio_window_matches_the_uncapped_product(k, p, at):
+    n = at // p * p
+    lo, hi = n - 100, n + 100
+    got = _ratio_array(k, lo, hi).tolist()
+    for x, g in zip(range(lo, hi + 1), got):
+        want = 1.0  # factors in increasing prime order, as multiplicative_table
+        for q in sympy.primefactors(x):
+            want *= 1.0 - q ** -k
+        assert g.hex() == want.hex(), x
+
+
+# ---------------------------------------------------------------------------
 # the assembled report
 
 def test_verify_report_structure():
@@ -323,6 +405,32 @@ def test_verify_shift_reduction_recheck():
     assert (rep.m, rep.k) == (m, k) == (6, 2)
     for r in range(1, 101):
         assert crs_fast(r, 2, 72) == crs_fast(r, 2, 36)
+
+
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from cohenram import arith
+from cohenram.asymptotics import AsymptoticQuery, _verify_bytes, asymptotic_verify
+query = AsymptoticQuery(*map(int, sys.argv[1:]))
+arith._trial_primes()  # lives for the whole process, outside the charge
+tracemalloc.start()
+asymptotic_verify(query)
+print(tracemalloc.get_traced_memory()[1], _verify_bytes(query))
+"""
+
+
+# a, b >= 4 make the summation chunk the largest temporary, where the
+# charge is tightest
+@pytest.mark.parametrize("key", [(2, 4, 4, 12, 10**6), (2, 5, 5, 12, 10**6),
+                                 (2, 3, 3, 12, 10)])
+def test_verify_charge_covers_the_traced_peak(key):
+    src = os.path.dirname(os.path.dirname(asymptotics.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, *map(str, key)],
+                          capture_output=True, text=True, env=env, check=True)
+    peak, charge = map(int, proc.stdout.split())
+    assert peak <= charge
 
 
 def test_report_serialization():

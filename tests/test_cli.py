@@ -173,6 +173,25 @@ def test_asymptotic_budget_covers_the_euler_product(capsys):
     assert run_cli(capsys, *fits) == run_cli(capsys, *argv, "--output", "json")
 
 
+def test_asymptotic_huge_shift_skips_primes_past_the_cap(capsys):
+    # sqrt(N + h) = 10^8, but no sieving prime past 2^18 changes an entry
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
+                             "--h", str(10**16), "--N", "10", "--output", "json")
+    assert time.perf_counter() - t0 < 1.0
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lhs_checkpoints"] == [[10, float.fromhex("0x1.1e309c4886dbfp+3")]]
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    argv = ["asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "10"]
+    first = cli.parse_config([*argv, "--prime-cutoff", "1000", "--output", "json"])
+    assert (first.params["prime_cutoff"], first.output) == (1000, "json")
+    again = cli.parse_config(argv)
+    assert (again.params["prime_cutoff"], again.output) == (10**5, "plain")
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_main_term(capsys):
     code, out, _ = run_cli(capsys, "main-term", "--s", "2", "--a", "3", "--b", "3",
                            "--h", "12", "--R", "500", "--output", "json")
