@@ -367,6 +367,17 @@ def test_joint_density_cap_keeps_every_bit(h, P):
     assert got.value.hex() == uncapped_joint_density(3, 4, h, P).hex()
 
 
+def test_products_take_exponents_whose_powers_overflow_a_float():
+    # a = b = 29: 1.0 / p ** 62 cannot convert p ** 62 for p near 10^5,
+    # but the loops stop at the cap (4 here), far below such primes
+    q = AsymptoticQuery(2, 29, 29, 12, 1)
+    assert _factor_cap(31, 10**5) == 4
+    assert rhs_product(q).value.hex() == uncapped_rhs(2, 29, 29, 2, 4).hex()
+    assert joint_density_product(q).value.hex() == uncapped_joint_density(29, 29, 12, 4).hex()
+    with pytest.raises(OverflowError):
+        uncapped_rhs(2, 29, 29, 2, 10**5)
+
+
 # windows at 10^12 (k = 3, cap 262145) and 10^14 (k = 4, cap 11586),
 # centred on a multiple of the last prime below the cap or the first
 # prime above it, which is no longer a sieving prime
