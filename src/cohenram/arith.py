@@ -373,6 +373,10 @@ def _table_bytes(limit: int, itemsize: int) -> int:
     return itemsize * (limit + 1 + limit // 2) + _primes_bytes(limit)
 
 
+_CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order
+_ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
+
+
 def _check_budget(what: str, need: int, budget: int | None) -> None:
     """Refuse with MemoryBudgetError when need bytes exceed a set budget."""
     if budget is not None and need > budget:

@@ -38,6 +38,8 @@ import numpy as np
 
 from .arith import (
     InternalAssertionError,
+    _CHUNK,
+    _ZETA_PRECISION,
     _check_budget,
     _prime_count_bound,
     _primes_bytes,
@@ -61,14 +63,12 @@ __all__ = [
     "expansion_coefficients",
 ]
 
-_CHUNK = 1 << 16  # fixed chunk size keeps the reduction order deterministic
 _BLOCK = 1 << 16  # entries per block of a windowed ratio-table build
 _BUCKET = 4096  # window ends are rounded to multiples of this
 # (block, sieving prime) pairs lhs_sum's table builds may visit: admits
-# N up to about 3*10^8 with a small h, and h up to about 2*10^16 with a
-# short N (sqrt(N + h) to 1.4*10^8); refuses h = 10^17 at once
+# N up to about 2.9*10^8 with a small h; a window sieves no prime past
+# _factor_cap, so a short N runs at any h that factorize accepts
 _SIEVE_WORK_LIMIT = 10**7
-_ZETA_PRECISION = 1e-12
 _CHECK_R = 100  # asymptotic_verify re-checks c_r^s(h) = c_r^s(m^s) for r <= this
 # bytes charged for each cache entry that check adds (about 200 measured)
 # and for the small objects of one asymptotic_verify call (about 6 KB)
@@ -166,12 +166,6 @@ class AsymptoticReport:
             "notes": list(self.notes),
         }
 
-    def to_csv(self) -> str:
-        lines = ["N,lhs,N_times_rhs,ratio"]
-        for (n, v), (_, rho) in zip(self.lhs_checkpoints, self.ratios):
-            lines.append(f"{n},{v!r},{n * self.rhs.value!r},{rho!r}")
-        return "\n".join(lines) + "\n"
-
     def plot_data(self) -> str:
         """Two whitespace-separated columns: N and ratio."""
         return "".join(f"{n} {rho!r}\n" for n, rho in self.ratios)
@@ -217,6 +211,7 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
     primes = primes_upto(cap)
     n_small = int(np.searchsorted(primes, root, side="right"))
     large, primes = primes[n_small:], primes[:n_small]
+    uprimes = primes.astype(np.uint64)  # block starts may pass 2^63 - 1
     track = large.size > 0  # else every residual's factor is 1.0
     if track:
         fac = np.ones(cap + 2)  # fac[P] = 1 - P^-k; residuals past cap read 1.0
@@ -226,7 +221,8 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
         seg = out[start - lo : stop - lo]
         seg.fill(1.0)
         rest = np.arange(start, stop, dtype=np.int64) if track else None
-        first = -start % primes  # offset of each prime's first multiple
+        # offset of each prime's first multiple
+        first = (uprimes - np.uint64(start) % uprimes) % uprimes
         hit = first < stop - start
         for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
             seg[i::p] *= 1.0 - p ** -k
@@ -246,13 +242,12 @@ def _build_bytes(k: int, lo: int, hi: int) -> int:
     """Peak bytes of _ratio_array(k, lo, hi) besides its output: one
     block's residual and gathered factors, the factor table and the two
     Python lists (ints and floats, 68 bytes a prime) it is filled from,
-    the primes and the per-block offsets of the sieving primes.  Primes
-    are charged up to max(sqrt(hi), cap), an upper bound on the sieve,
-    which stops at the cap."""
+    the primes to the cap and the per-block offsets of the sieving
+    primes, those to min(sqrt(hi), cap)."""
     root, cap = math.isqrt(hi), _factor_cap(k, hi)
     return (16 * min(_BLOCK, hi - lo + 1) + 8 * (cap + 2)
             + 68 * _prime_count_bound(cap)
-            + _primes_bytes(max(root, cap)) + 16 * _prime_count_bound(root))
+            + _primes_bytes(cap) + 16 * _prime_count_bound(min(root, cap)))
 
 
 def _bucket(limit: int) -> int:
@@ -283,16 +278,16 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     larger of one build's temporaries and one summation chunk's (the
     products and _chunk_sum's hi and lo, 24 bytes an entry).
 
-    Before any of that, the (block, sieving prime) steps of the builds
-    are bounded by _SIEVE_WORK_LIMIT, which refuses a huge shift at
-    once.  Steps are counted for every prime to sqrt(hi), an upper bound
-    on a sieve that stops at _factor_cap.
+    Before any of that, the (block, sieving prime) steps of the builds,
+    over the primes to min(sqrt(hi), _factor_cap), are bounded by
+    _SIEVE_WORK_LIMIT, which refuses a long N at once.
     """
     h, N = query.h, query.N
     wa, wb = _lhs_windows(query.a, query.b, h, N)
     windows = {wa, wb}
-    work = sum(-(-(hi - lo + 1) // _BLOCK) * _prime_count_bound(math.isqrt(hi))
-               for _, lo, hi in windows)
+    work = sum(-(-(hi - lo + 1) // _BLOCK)
+               * _prime_count_bound(min(math.isqrt(hi), _factor_cap(k, hi)))
+               for k, lo, hi in windows)
     if work > _SIEVE_WORK_LIMIT:
         raise ValueError(
             f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
@@ -365,12 +360,13 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     return out
 
 
-def _product_bytes(P: int) -> int:
-    """Peak bytes of rhs_product to the prime cutoff P: the sieve's flags
-    and int64 primes, and the list of Python ints its loop reads (an
-    8-byte slot and a 28-byte int per prime).  An upper bound, since
-    the loop stops at _factor_cap."""
-    return _primes_bytes(P) + 36 * _prime_count_bound(P)
+def _product_bytes(c: int, P: int) -> int:
+    """Peak bytes of rhs_product with s + min(a, b) = c and the prime
+    cutoff P: the sieve's flags and int64 primes to _factor_cap(c, P),
+    where its loop stops, and the list of Python ints that loop reads
+    (an 8-byte slot and a 28-byte int per prime)."""
+    cap = _factor_cap(c, P)
+    return _primes_bytes(cap) + 36 * _prime_count_bound(cap)
 
 
 def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
@@ -467,7 +463,8 @@ def _verify_bytes(query: AsymptoticQuery) -> int:
     and factorize's table of trial primes, which lives for the whole
     process once built, are outside the charge."""
     _, _, tables, temps = _lhs_plan(query)
-    return (tables + max(temps, _product_bytes(query.prime_cutoff))
+    c = query.s + min(query.a, query.b)
+    return (tables + max(temps, _product_bytes(c, query.prime_cutoff))
             + 3 * _CHECK_R * _ENTRY_BYTES + _CALL_BYTES)
 
 

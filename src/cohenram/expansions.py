@@ -22,6 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .arith import (
+    _CHUNK,
+    _ZETA_PRECISION,
     _check_budget,
     _table_bytes,
     divisor_sigma,
@@ -43,8 +45,6 @@ __all__ = [
 ]
 
 _NS_LIMIT = 2**63
-_CHUNK = 1 << 16  # table entries converted to Python floats at a time
-_ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,6 @@ class ExpansionReport:
             "tolerance": self.tolerance,
             "converged": self.converged,
         }
-
-    def to_csv(self) -> str:
-        lines = ["Q,partial_sum,abs_error"]
-        for q, s in self.partial_sums:
-            lines.append(f"{q},{s!r},{abs(s - self.target)!r}")
-        return "\n".join(lines) + "\n"
 
 
 def _checkpoints(final: int) -> list[int]:

@@ -9,7 +9,9 @@ import pytest
 
 from cohenram import cli
 from cohenram.arith import jordan
+from cohenram.asymptotics import AsymptoticQuery, asymptotic_verify
 from cohenram.cohen import RoundingAssertionError
+from cohenram.expansions import ExpansionQuery, expansion_partial_sum
 
 
 def run_cli(capsys, *argv):
@@ -61,12 +63,18 @@ def test_expansion_reference_case(capsys):
 
 
 def test_expansion_csv(capsys):
+    rep = expansion_partial_sum(ExpansionQuery(2, 2, 3, 500))
     code, out, _ = run_cli(capsys, "expansion", "--s", "2", "--k", "2", "--n", "3",
                            "--Q", "500", "--output", "csv")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "Q,partial_sum,abs_error"
     assert len(lines) == 4  # checkpoints 10, 100, 500
+    assert len(lines) == 1 + len(rep.partial_sums)
+    q0, s0, e0 = lines[1].split(",")
+    assert int(q0) == rep.partial_sums[0][0]
+    assert float(s0) == rep.partial_sums[0][1]
+    assert float(e0) == abs(rep.partial_sums[0][1] - rep.target)
 
 
 def test_local_check(capsys):
@@ -111,11 +119,17 @@ def test_asymptotic_with_plot_data(capsys, tmp_path):
 
 
 def test_asymptotic_csv(capsys):
+    rep = asymptotic_verify(AsymptoticQuery(2, 3, 3, 1, 5000, prime_cutoff=100))
     code, out, _ = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "3",
                            "--h", "1", "--N", "5000", "--prime-cutoff", "100",
                            "--output", "csv")
     assert code == 0
-    assert out.split("\n")[0] == "N,lhs,N_times_rhs,ratio"
+    lines = out.strip().split("\n")
+    assert lines[0] == "N,lhs,N_times_rhs,ratio"
+    n0, lhs0, nr0, rho0 = lines[1].split(",")
+    assert int(n0) == rep.lhs_checkpoints[0][0]
+    assert float(nr0) == pytest.approx(int(n0) * rep.rhs.value, rel=1e-15)
+    assert float(rho0) == rep.ratios[0][1]
 
 
 def test_asymptotic_rejects_bad_hypotheses(capsys):
@@ -137,15 +151,22 @@ def test_asymptotic_huge_shift_within_budget(capsys):
 
 
 def test_asymptotic_refuses_a_shift_too_large_to_sieve(capsys):
+    # the sieving steps grow with N, not with h: N = 10^9 is refused at once
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
-                             "--h", str(10**17), "--N", "10")
+                             "--h", "12", "--N", str(10**9))
     assert time.perf_counter() - t0 < 1.0
     assert code == 1 and out == ""
     assert err.startswith("error:") and "sieving steps" in err and err.count("\n") == 1
-    code, _, _ = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
-                         "--h", str(10**12), "--N", "10")
-    assert code == 0
+    # while a short sum runs at any shift factorize accepts
+    for h in (10**17, 2**62 + 7):
+        code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
+                                 "--h", str(h), "--N", "10", "--output", "json")
+        assert (code, err) == (0, "")
+        n, got = json.loads(out)["lhs_checkpoints"][-1]
+        want = math.fsum(jordan(3, n) / n**3 * jordan(4, n + h) / (n + h) ** 4
+                         for n in range(1, 11))
+        assert n == 10 and got == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,16 +182,17 @@ def test_table_commands_respect_memory_budget(capsys, argv):
 
 
 def test_asymptotic_budget_covers_the_euler_product(capsys):
-    # at N = 10 the tables fit a 10^6 budget, the primes to 10^8 do not
-    argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "10")
+    # at N = 10 the tables fit a 10^6 budget, and so does the product to
+    # P = 10^8, which visits only the primes to 1783
+    argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "10",
+            "--output", "json")
+    far = (*argv, "--prime-cutoff", str(10**8))
     t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, "--prime-cutoff", str(10**8),
-                             "--memory-budget", str(10**6))
+    got = run_cli(capsys, *far, "--memory-budget", str(10**6))
     assert time.perf_counter() - t0 < 1.0
-    assert code == 1 and out == ""
-    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
-    fits = (*argv, "--memory-budget", str(10**6), "--output", "json")
-    assert run_cli(capsys, *fits) == run_cli(capsys, *argv, "--output", "json")
+    assert got == run_cli(capsys, *far) and got[0] == 0
+    fits = (*argv, "--memory-budget", str(10**6))
+    assert run_cli(capsys, *fits) == run_cli(capsys, *argv)
 
 
 def test_asymptotic_huge_shift_skips_primes_past_the_cap(capsys):
@@ -218,20 +240,37 @@ def test_internal_assertion_exits_two(capsys, monkeypatch):
 
 
 def test_env_overrides(capsys, monkeypatch):
+    argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "1", "--N", "100000")
+    unbudgeted = run_cli(capsys, *argv)
     monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "1000")
-    code, _, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "3",
-                           "--h", "1", "--N", "100000")
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1 and "budget" in err
     # flags beat the environment
-    code, out, _ = run_cli(capsys, "jordan", "--k", "1", "--n", "6",
-                           "--memory-budget", str(10**9))
-    assert code == 0 and out == "2\n"
+    got = run_cli(capsys, *argv, "--memory-budget", str(10**8))
+    assert got == unbudgeted and got[0] == 0
 
 
 def test_env_budget_must_be_an_integer(capsys, monkeypatch):
     monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "zero")
-    code, _, err = run_cli(capsys, "jordan", "--k", "1", "--n", "6")
+    code, _, err = run_cli(capsys, "expansion", "--s", "1", "--k", "1", "--n", "1",
+                           "--Q", "10")
     assert code == 1 and "COHENRAM_MEMORY_BUDGET" in err
+    # commands that build no table neither read the environment nor take the flag
+    assert run_cli(capsys, "jordan", "--k", "1", "--n", "6") == (0, "2\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ("sum", "--r", "2", "--s", "2", "--n", "4"),
+    ("jordan", "--k", "2", "--n", "4"),
+    ("gcd-s", "--m", "4", "--n", "8", "--s", "2"),
+    ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes", "2"),
+    ("sivaramakrishnan", "--s", "1", "--k", "1", "--n", "1", "--R", "20"),
+])
+def test_budget_flag_only_on_table_commands(capsys, argv):
+    assert run_cli(capsys, *argv)[0] == 0
+    code, out, err = run_cli(capsys, *argv, "--memory-budget", "5")
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert "--memory-budget" in err and err.count("\n") == 1
 
 
 def test_help_lists_every_command(capsys):

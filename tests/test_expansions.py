@@ -128,14 +128,6 @@ def test_serialization_round_trip():
     assert back["partial_sums"] == [[q, s] for q, s in rep.partial_sums]
     assert back["converged"] == rep.converged
 
-    lines = rep.to_csv().strip().split("\n")
-    assert lines[0] == "Q,partial_sum,abs_error"
-    assert len(lines) == 1 + len(rep.partial_sums)
-    q0, s0, e0 = lines[1].split(",")
-    assert int(q0) == rep.partial_sums[0][0]
-    assert float(s0) == rep.partial_sums[0][1]
-    assert float(e0) == abs(rep.partial_sums[0][1] - rep.target)
-
 
 # ---------------------------------------------------------------------------
 # exact local Euler factors

@@ -48,3 +48,20 @@ def test_all_names_resolve(module):
         return
     mod = importlib.import_module("cohenram" if module == "__init__" else f"cohenram.{module}")
     assert sorted(n for n in exports if not hasattr(mod, n)) == []
+
+
+def _is_sys(node, attr):
+    return (isinstance(node, ast.Attribute) and node.attr == attr
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def test_one_writer_of_stdout():
+    # cli.dispatch renders every report; a command that printed on its
+    # own would bring back a per-format branch
+    trees = [ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES]
+    nodes = [n for tree in trees for n in ast.walk(tree)]
+    assert sum(_is_sys(n, "stdout") for n in nodes) == 1
+    prints = [n for n in nodes if isinstance(n, ast.Call)
+              and isinstance(n.func, ast.Name) and n.func.id == "print"]
+    assert all(any(k.arg == "file" and _is_sys(k.value, "stderr") for k in n.keywords)
+               for n in prints)
