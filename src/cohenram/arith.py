@@ -54,11 +54,28 @@ _TRIAL_LIMIT = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=1)
-def _trial_primes() -> array:
-    # 8 bytes a prime, against 40 for a list of Python ints; the int64
-    # buffer is copied as is, the same values as converting each entry
-    return array("q", primes_upto(_TRIAL_LIMIT).tobytes())
+# (bound, every prime <= bound): one table for the whole process, held
+# as int64 at 8 bytes a prime, against 40 for a list of Python ints; one
+# tuple, replaced whole, so no reader pairs a bound with an older table
+_trial: tuple[int, array] = (0, array("q"))
+
+
+def _trial_primes(limit: int = _TRIAL_LIMIT) -> array:
+    """Every prime up to at least min(limit, _TRIAL_LIMIT), increasing.
+
+    The table grows to the next power of two above limit (capped at
+    _TRIAL_LIMIT) when a call needs more, so it is rebuilt at most about
+    twenty times, and never shrinks.  With no argument it is every prime
+    up to _TRIAL_LIMIT.  The int64 buffer of primes_upto is copied as
+    is, the same values as converting each entry.
+    """
+    global _trial
+    bound, table = _trial
+    if bound < min(limit, _TRIAL_LIMIT):
+        bound = min(_TRIAL_LIMIT, 1 << limit.bit_length())
+        table = array("q", primes_upto(bound).tobytes())
+        _trial = bound, table
+    return table
 
 
 def primes_upto(limit: int) -> np.ndarray:
@@ -154,7 +171,7 @@ class FactoredInteger:
 def _factor_backend(n: int) -> list[tuple[int, int]]:
     out = []
     m = n
-    for p in _trial_primes():
+    for p in _trial_primes(math.isqrt(n)):
         if p * p > m:
             break
         if m % p == 0:
@@ -169,7 +186,9 @@ def _factor_backend(n: int) -> list[tuple[int, int]]:
         if p * p > m or is_prime(m):
             out.append((m, 1))
         else:
-            # survivor is composite with all prime factors > 10^6
+            # the table held every prime <= min(sqrt(n), 10^6) and a
+            # composite survivor has a prime factor <= sqrt(n), so n > 10^12
+            # and every prime factor of the survivor is > 10^6
             stack, found = [m], {}
             while stack:
                 t = stack.pop()
@@ -186,8 +205,11 @@ def _factor_backend(n: int) -> list[tuple[int, int]]:
 def factorize(n: int) -> FactoredInteger:
     """Unique prime factorization of n, 1 <= n < 2^63.
 
-    Trial division by sieved primes up to 10^6, then deterministic
-    Miller-Rabin plus Pollard rho for anything that survives.
+    Trial division by the sieved primes up to min(sqrt(n), 10^6), from
+    one table that grows with the numbers asked for (_trial_primes), so
+    the first call at n near 10^6 sieves to 1024, not to 10^6.  A
+    survivor is then prime, or has all its prime factors above 10^6 and
+    goes to deterministic Miller-Rabin plus Pollard rho.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"factorize expects an integer, got {type(n).__name__}")

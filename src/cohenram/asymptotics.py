@@ -275,8 +275,9 @@ def _lhs_checkpoints_of(N: int) -> list[int]:
 
 def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     """lhs_sum's two windows with the bytes of their tables and of the
-    larger of one build's temporaries and one summation chunk's (the
-    products and _chunk_sum's hi and lo, 24 bytes an entry).
+    larger of one build's temporaries and the summation's scratch (the
+    products and _chunk_sum's hi and lo for one chunk, 24 bytes an
+    entry, allocated once per call).
 
     Before any of that, the (block, sieving prime) steps of the builds,
     over the primes to min(sqrt(hi), _factor_cap), are bounded by
@@ -297,7 +298,7 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     return wa, wb, tables, temps
 
 
-def _chunk_sum(seg: np.ndarray) -> float:
+def _chunk_sum(seg: np.ndarray, buffer: np.ndarray | None = None) -> float:
     """The correctly rounded sum of at most _CHUNK float64 entries in
     [1/2, 1], bit for bit math.fsum's, from two numpy sums (Dekker's
     splitting, Numer. Math. 18, 1971).
@@ -309,17 +310,21 @@ def _chunk_sum(seg: np.ndarray) -> float:
     at most 2^42 units of 2^-53, so both numpy sums are exact in any
     order.  Adding the two is then a single rounding of the exact total.
     An entry outside [1/2, 1], a NaN or a longer chunk voids the
-    argument and raises InternalAssertionError.  Allocates hi and lo,
-    16 bytes an entry.
+    argument and raises InternalAssertionError.  hi and lo are written to
+    the two rows of buffer, a float64 array of shape (2, >= seg.size);
+    without one they are allocated, 16 bytes an entry.
     """
     if seg.size > _CHUNK or not (seg.min() >= 0.5 and seg.max() <= 1.0):
         raise InternalAssertionError(
             f"an exact chunk sum needs at most {_CHUNK} summands in [1/2, 1], "
             f"got {seg.size} in [{float(seg.min())!r}, {float(seg.max())!r}]")
-    hi = np.multiply(seg, 2.0**26)
+    if buffer is None:
+        buffer = np.empty((2, seg.size))
+    hi, lo = buffer[0, : seg.size], buffer[1, : seg.size]
+    np.multiply(seg, 2.0**26, out=hi)
     np.rint(hi, out=hi)
     hi *= 2.0**-26
-    lo = seg - hi
+    np.subtract(seg, hi, out=lo)
     return float(hi.sum()) + float(lo.sum())
 
 
@@ -334,9 +339,10 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     each distinct window plus the temporaries of one block build or of
     one summation chunk, whichever is larger (see _lhs_plan, which also
     refuses a huge shift first).  Each chunk of at most _CHUNK products
-    is summed exactly and rounded once by _chunk_sum, which needs every
-    product in [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so
-    a, b >= 3 and every ratio is at least 1/zeta(3) > 0.83.  Each
+    is formed in scratch allocated once per call, then summed exactly
+    and rounded once by _chunk_sum, which needs every product in
+    [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so a, b >= 3 and
+    every ratio is at least 1/zeta(3) > 0.83.  Each
     checkpoint is the fsum of the chunk sums so far, so results are
     identical run to run.
     """
@@ -348,13 +354,18 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     rb = _ratio_array(*wb)
     shift = h - wb[1]  # n + h sits at index n + shift of rb
 
+    # the products and _chunk_sum's hi and lo, allocated once per call
+    size = min(_CHUNK, N)
+    prods, hilo = np.empty(size), np.empty((2, size))
     out = []
     chunk_sums: list[float] = []
     prev = 1
     for mark in _lhs_checkpoints_of(N):
         for lo in range(prev, mark + 1, _CHUNK):
             hi = min(mark + 1, lo + _CHUNK)
-            chunk_sums.append(_chunk_sum(ra[lo:hi] * rb[lo + shift : hi + shift]))
+            seg = np.multiply(ra[lo:hi], rb[lo + shift : hi + shift],
+                              out=prods[: hi - lo])
+            chunk_sums.append(_chunk_sum(seg, hilo))
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1
     return out
@@ -460,8 +471,9 @@ def _verify_bytes(query: AsymptoticQuery) -> int:
     entries the reduction check adds to fresh crs_fast and factorize
     caches (two crs_fast keys and one factorize key per r) and the
     call's own small objects.  Entries already cached by earlier calls,
-    and factorize's table of trial primes, which lives for the whole
-    process once built, are outside the charge."""
+    and factorize's table of trial primes, which grows on demand to at
+    most 78,498 primes (0.63 MB) and lives for the whole process, are
+    outside the charge."""
     _, _, tables, temps = _lhs_plan(query)
     c = query.s + min(query.a, query.b)
     return (tables + max(temps, _product_bytes(c, query.prime_cutoff))

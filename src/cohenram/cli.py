@@ -162,14 +162,16 @@ def parse_config(argv=None) -> RunConfig:
     command, output = ns.pop("command"), ns.pop("output")
     takes_budget = "memory_budget" in ns  # only the commands that build tables
     budget = ns.pop("memory_budget", None)
+    source = "--memory-budget"
     if budget is None and takes_budget:
-        raw = os.environ.get("COHENRAM_MEMORY_BUDGET", "")
+        source = "COHENRAM_MEMORY_BUDGET"
+        raw = os.environ.get(source, "")
         try:
             budget = int(raw) if raw else None
         except ValueError:
-            raise ValueError(f"COHENRAM_MEMORY_BUDGET must be an integer, got {raw!r}") from None
+            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if budget is not None and budget < 1:
-        raise ValueError(f"--memory-budget must be >= 1, got {budget}")
+        raise ValueError(f"{source} must be >= 1, got {budget}")
     return RunConfig(command, ns, output, budget)
 
 

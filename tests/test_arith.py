@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from cohenram import arith
 from cohenram.arith import (
     FactoredInteger,
     _trial_primes,
@@ -75,6 +80,64 @@ def test_factorize_across_the_trial_limit():
               2 * 3 * p * q, 999_983 * p, 10**6, 10**12 + 39, 2**62 - 57]
     for n in sample:
         assert dict(factorize(n).factors) == sympy.factorint(n), n
+
+
+def _fresh_python(script, *args):
+    """stdout of script run by a new interpreter on this cohenram."""
+    src = os.path.dirname(os.path.dirname(arith.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
+_GROWTH_SCRIPT = """
+import json, sys
+from cohenram import arith
+assert arith._trial[0] == 0 and not arith._trial[1]  # a fresh process starts empty
+out = [[n, arith.factorize(n).factors, arith._trial[0]] for n in map(int, sys.argv[1:])]
+assert arith._trial[1].tolist() == arith.primes_upto(arith._trial[0]).tolist()
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_growing_trial_table_factors_like_sympy(descending):
+    # the table grows to the power of two above sqrt(n), capped at 10^6:
+    # p^2 for the largest prime p below each such limit asks for exactly
+    # that limit, and p * q with q the next prime above it straddles it
+    limits = [2**e for e in range(2, 20)] + [10**6]
+    sample = {2, 3, 4, 999_983**2, 10**12 + 39, 2**62 - 57}
+    for limit in limits:
+        p, q = sympy.prevprime(limit), sympy.nextprime(limit)
+        sample |= {p * p, p * q}
+    sample = sorted(sample, reverse=descending)
+    got = json.loads(_fresh_python(_GROWTH_SCRIPT, *sample))
+    bounds = [bound for _, _, bound in got]
+    assert [n for n, _, _ in got] == sample
+    assert bounds == sorted(bounds) and bounds[-1] == 10**6
+    for n, factors, bound in got:
+        assert [tuple(f) for f in factors] == sorted(sympy.factorint(n).items()), n
+        assert bound >= min(math.isqrt(n), 10**6), n
+
+
+_FAR_SCRIPT = """
+import contextlib, io
+from cohenram import arith, cli
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["asymptotic", "--s", "2", "--a", "3", "--b", "4", "--h", "1014185",
+              "--N", "100000"])
+bound = arith._trial[0]
+full = arith._trial_primes().tolist() == arith.primes_upto(10**6).tolist()
+print(bound, full)
+"""
+
+
+def test_far_shift_sieves_few_trial_primes():
+    # every factorize call of a far shift near 10^6 needs the primes
+    # below about 1000, not the 78,498 below 10^6
+    bound, full = _fresh_python(_FAR_SCRIPT).split()
+    assert int(bound) < 2**12 and full == "True"
 
 
 def test_factorize_matches_sympy_on_a_block():

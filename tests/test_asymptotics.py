@@ -153,9 +153,9 @@ def _fsum_hex(seg):
 def test_chunk_sum_matches_fsum_on_every_lhs_chunk(monkeypatch):
     sizes = []
 
-    def checked(seg):
+    def checked(seg, buffer):
         want = _fsum_hex(seg)
-        got = _chunk_sum(seg)
+        got = _chunk_sum(seg, buffer)
         assert got.hex() == want
         sizes.append(seg.size)
         return got
@@ -167,30 +167,47 @@ def test_chunk_sum_matches_fsum_on_every_lhs_chunk(monkeypatch):
     assert len(sizes) == 2 * 17 + 3 and max(sizes) == _CHUNK
 
 
-def test_chunk_sum_matches_fsum_on_edge_chunks():
+def _edge_chunks():
+    """Chunks at the edges of _chunk_sum's range; the first two have
+    2^16 - 1 ones and one 1/2 + 2^-38 or 1/2 + 3 * 2^-38: the exact
+    totals lie halfway between floats 2^-37 apart, and ties go to even."""
     rng = np.random.default_rng(8)
     ones = np.ones(_CHUNK)
-    # 2^16 - 1 ones and one 1/2 + 2^-38 or 1/2 + 3 * 2^-38: the exact
-    # totals lie halfway between floats 2^-37 apart, and ties go to even
     down, up = ones.copy(), ones.copy()
     down[-1], up[-1] = 0.5 + 2.0**-38, 0.5 + 3 * 2.0**-38
+    cases = [down, up, ones, np.full(_CHUNK, np.nextafter(0.5, 1.0)), np.array([0.5]),
+             np.array([1.0]), rng.uniform(0.5, 1.0, _CHUNK)]
+    return cases + [rng.uniform(0.5, 1.0, n) for n in rng.integers(1, _CHUNK, 30)]
+
+
+def test_chunk_sum_matches_fsum_on_edge_chunks():
+    cases = _edge_chunks()
+    down, up = cases[:2]
     assert _chunk_sum(down) == _CHUNK - 0.5
     assert _chunk_sum(up) == _CHUNK - 0.5 + 2.0**-36
-    cases = [ones, np.full(_CHUNK, np.nextafter(0.5, 1.0)), np.array([0.5]),
-             np.array([1.0]), rng.uniform(0.5, 1.0, _CHUNK), down, up]
-    cases += [rng.uniform(0.5, 1.0, n) for n in rng.integers(1, _CHUNK, 30)]
     for seg in cases:
         assert _chunk_sum(seg).hex() == _fsum_hex(seg), seg.size
+
+
+def test_chunk_sum_into_a_buffer_matches_and_keeps_the_chunk():
+    # one buffer, wider than most chunks and holding the last chunk's
+    # hi and lo, as lhs_sum passes it
+    buffer = np.full((2, _CHUNK), np.nan)
+    for seg in _edge_chunks():
+        before = seg.copy()
+        assert _chunk_sum(seg, buffer).hex() == _chunk_sum(seg).hex(), seg.size
+        assert np.array_equal(seg, before), seg.size
 
 
 @pytest.mark.parametrize("bad", [0.4999, np.nextafter(1.0, 2.0), np.nan])
 def test_chunk_sum_refuses_summands_outside_its_range(bad):
     seg = np.full(100, 0.75)
     seg[37] = bad
-    with pytest.raises(InternalAssertionError, match="needs at most"):
-        _chunk_sum(seg)
-    with pytest.raises(InternalAssertionError, match="needs at most"):
-        _chunk_sum(np.ones(_CHUNK + 1))
+    for buffer in (None, np.empty((2, _CHUNK + 1))):
+        with pytest.raises(InternalAssertionError, match="needs at most"):
+            _chunk_sum(seg, buffer)
+        with pytest.raises(InternalAssertionError, match="needs at most"):
+            _chunk_sum(np.ones(_CHUNK + 1), buffer)
 
 
 # ---------------------------------------------------------------------------

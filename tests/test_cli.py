@@ -259,6 +259,17 @@ def test_env_budget_must_be_an_integer(capsys, monkeypatch):
     assert run_cli(capsys, "jordan", "--k", "1", "--n", "6") == (0, "2\n", "")
 
 
+@pytest.mark.parametrize("raw", ["0", "-5"])
+def test_env_budget_below_one_names_the_variable(capsys, monkeypatch, raw):
+    argv = ("expansion", "--s", "1", "--k", "1", "--n", "1", "--Q", "10")
+    monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", raw)
+    assert run_cli(capsys, *argv) == (
+        1, "", f"error: COHENRAM_MEMORY_BUDGET must be >= 1, got {raw}\n")
+    # a bad flag is still named as the flag, which beats the environment
+    assert run_cli(capsys, *argv, "--memory-budget", "0") == (
+        1, "", "error: --memory-budget must be >= 1, got 0\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("sum", "--r", "2", "--s", "2", "--n", "4"),
     ("jordan", "--k", "2", "--n", "4"),
