@@ -275,7 +275,7 @@ def _lhs_checkpoints_of(N: int) -> list[int]:
 
 def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     """lhs_sum's two windows with the bytes of their tables and of the
-    larger of one build's temporaries and the summation's scratch (the
+    larger of one build's temporaries and the summation's buffers (the
     products and _chunk_sum's hi and lo for one chunk, 24 bytes an
     entry, allocated once per call).
 
@@ -339,12 +339,11 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     each distinct window plus the temporaries of one block build or of
     one summation chunk, whichever is larger (see _lhs_plan, which also
     refuses a huge shift first).  Each chunk of at most _CHUNK products
-    is formed in scratch allocated once per call, then summed exactly
+    is formed in buffers allocated once per call, then summed exactly
     and rounded once by _chunk_sum, which needs every product in
     [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so a, b >= 3 and
-    every ratio is at least 1/zeta(3) > 0.83.  Each
-    checkpoint is the fsum of the chunk sums so far, so results are
-    identical run to run.
+    every ratio is at least 1/zeta(3) > 0.83.  Each checkpoint is the
+    fsum of the chunk sums so far, so results are identical run to run.
     """
     h, N = query.h, query.N
     wa, wb, tables, temps = _lhs_plan(query)
