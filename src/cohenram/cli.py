@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations, product
 from operator import ne
 
@@ -77,7 +77,7 @@ def _required_ints(q: argparse.ArgumentParser, *names: str) -> None:
         q.add_argument(f"--{name}", type=int, required=True)
 
 
-@cache  # built once per process: parse_args leaves the tree unchanged
+@lru_cache(maxsize=1)  # built once per process: parse_args leaves the tree unchanged
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", choices=("plain", "json", "csv"),

@@ -79,22 +79,21 @@ def _round_assert(re: float, im: float, context: str) -> int:
     return v
 
 
-@lru_cache(maxsize=2048)
 def _admissible(r: int, s: int) -> np.ndarray:
-    """All h in 1..r^s with (h, r^s)_s = 1, as a read-only int64 array.
+    """All h in 1..r^s with (h, r^s)_s = 1, as an int64 array.
 
     Since l^s | r^s iff l | r, the condition is: no prime p | r has
     p^s | h.  (Checked against the literal generalized-gcd filter in the
-    test suite.)
+    test suite.)  Not memoized: near the guard one set is tens of MB,
+    and building it costs a small share of the exponential sum that
+    reads it.
     """
     m = r**s
     mask = np.ones(m + 1, dtype=bool)
     mask[0] = False
     for p, _ in factorize(r).factors:
         mask[p**s :: p**s] = False
-    out = np.flatnonzero(mask).astype(np.int64)
-    out.flags.writeable = False
-    return out
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 def crs_direct(r: int, s: int, n: int) -> int:

@@ -17,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import mul, sub
 
 import numpy as np
 
@@ -141,6 +143,35 @@ def expansion_partial_sum(query: ExpansionQuery, *,
     return ExpansionReport(query, target, partials, final_err, tol, final_err < tol)
 
 
+@lru_cache(maxsize=64)
+def _divisor_lattice(pset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(q, mu(q), Q_P // q) for every q | Q_P, as three parallel tuples,
+    where Q_P is the product of pset (sorted distinct ints).  Every p is
+    checked by is_prime first; a refusal raises, so it is never cached."""
+    for p in pset:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+    signed = [(1, 1)]
+    for p in pset:
+        signed += [(q * p, -mu) for q, mu in signed]
+    qs, mus = zip(*signed)
+    qp = math.prod(pset)
+    return qs, mus, tuple(qp // q for q in qs)
+
+
+# 5 values of s + k times the 64 prime sets of the repro-all grid; typed,
+# so a float s + k never reads an int row
+@lru_cache(maxsize=5 * 64, typed=True)
+def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
+    """(qs, mu(q) J_sk(Q_P/q) for each q in qs, J_sk(Q_P), J_sk(p) for
+    each p in pset): everything in local_factor_exact that does not
+    depend on n.  J_sk is read at every complement, composite ones
+    included."""
+    qs, mus, complements = _divisor_lattice(pset)
+    weights = tuple(mu * jordan(sk, c) for mu, c in zip(mus, complements))
+    return qs, weights, jordan(sk, complements[0]), tuple(jordan(sk, p) for p in pset)
+
+
 def local_factor_exact(s: int, k: int, n: int,
                        primes) -> tuple[Fraction, Fraction]:
     """Exact rational check of the Euler factorization over a finite
@@ -154,29 +185,31 @@ def local_factor_exact(s: int, k: int, n: int,
 
     Both sides are accumulated as integers over one common denominator,
     J_{s+k}(Q_P) with Q_P the product of P: every q divides Q_P and is
-    coprime to Q_P/q, so J_{s+k}(Q_P)/J_{s+k}(q) = J_{s+k}(Q_P/q).  The
-    lhs evaluates crs_fast at every subset's q, composite q included,
-    so it is never derived from the per-prime factors of the rhs.
+    coprime to Q_P/q, so J_{s+k}(Q_P)/J_{s+k}(q) = J_{s+k}(Q_P/q).
+
+    What depends only on P is cached: the divisors q of Q_P with mu(q)
+    and Q_P/q (_divisor_lattice, 64 sets), and the weights
+    mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P) and each J_{s+k}(p)
+    (_jordan_row, 320 pairs of s + k and P).  Both caches are keyed by
+    the sorted distinct primes, and every p is checked to be an int
+    before either is read: (2.0,) == (2,), so a float or bool "prime"
+    would otherwise be answered from its int twin's entry.
+    Each call still evaluates crs_fast at every q | Q_P, composite q
+    included, so the lhs is never derived from the per-prime factors of
+    the rhs.
     """
     if min(s, k, n) < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
-    pset = sorted(set(primes))
+    pset = tuple(sorted(set(primes)))
     for p in pset:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        if type(p) is not int:
+            raise ValueError(f"primes must be ints, got {type(p).__name__} {p!r}")
+    qs, weights, jqp, jp = _jordan_row(s + k, pset)
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    sk, qp = s + k, math.prod(pset)
-
-    signed = [(1, 1)]  # (q, mu(q)) for every q | Q_P
-    for p in pset:
-        signed += [(q * p, -mu) for q, mu in signed]
-    num = sum(mu * crs_fast(q, s, ns) * jordan(sk, qp // q) for q, mu in signed)
-    lhs = Fraction(num, jordan(sk, qp))
-
-    jp = [jordan(sk, p) for p in pset]
-    rhs = Fraction(math.prod(j - crs_fast(p, s, ns) for p, j in zip(pset, jp)),
+    lhs = Fraction(sum(map(mul, weights, map(crs_fast, qs, repeat(s), repeat(ns)))), jqp)
+    rhs = Fraction(math.prod(map(sub, jp, map(crs_fast, pset, repeat(s), repeat(ns)))),
                    math.prod(jp))
     return lhs, rhs
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -216,6 +217,28 @@ def test_crs_fast_cache_is_typed_and_bounded():
         crs_fast(True, 1, 5)
     with pytest.raises(ValueError):
         crs_fast(1.0, 1, 5)
+
+
+def test_admissible_sets_are_not_retained():
+    # crs_direct and crs_direct_spectrum build the admissible set on each
+    # call; near the guard one set is 53-80 MB, so a memo of them would
+    # hold memory that no budget counts.  The guard-sized sets are built
+    # through _admissible alone: crs_direct there makes 2e7 Python floats,
+    # which take minutes to trace.
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for r in (3162, 3161, 3159):
+            assert len(_admissible(r, 2)) == jordan(2, r)
+        guard_retained = tracemalloc.get_traced_memory()[0] - before
+        before = tracemalloc.get_traced_memory()[0]
+        for r in (100, 99, 97):
+            assert crs_direct(r, 2, 1) == mobius(r)
+        direct_retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert guard_retained <= 8 * DIRECT_TERM_GUARD  # one guard-sized set
+    assert direct_retained <= 8 * 100**2
 
 
 def test_direct_term_guard():

@@ -156,9 +156,16 @@ def test_local_factor_exact_matches_manual_sum():
         assert lhs == want == rhs
 
 
+def _clear_local_factor_caches():
+    expansions._jordan_row.cache_clear()
+    expansions._divisor_lattice.cache_clear()
+
+
 def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
     # the lhs reads crs_fast at every q | Q_P and jordan at every Q_P/q,
-    # composite ones included, so it is never built from the rhs factors
+    # composite ones included, so it is never built from the rhs factors;
+    # a warm call takes the jordan weights from the cache but evaluates
+    # crs_fast at every q again
     seen_crs, seen_jordan = set(), set()
 
     def spy_crs(r, s, n):
@@ -169,6 +176,7 @@ def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
         seen_jordan.add(n)
         return jordan(k, n)
 
+    _clear_local_factor_caches()
     monkeypatch.setattr(expansions, "crs_fast", spy_crs)
     monkeypatch.setattr(expansions, "jordan", spy_jordan)
     pset = (2, 3, 5, 7)
@@ -176,13 +184,47 @@ def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
     assert len(divisors_qp) == 16
     lhs, rhs = local_factor_exact(2, 3, 12, pset)
     assert lhs == rhs
-    assert seen_crs >= divisors_qp
-    assert seen_jordan >= {210 // q for q in divisors_qp}
+    assert seen_crs == divisors_qp
+    assert seen_jordan == {210 // q for q in divisors_qp}
+
+    seen_crs.clear()
+    seen_jordan.clear()
+    assert local_factor_exact(2, 3, 12, pset) == (lhs, rhs)
+    assert seen_crs == divisors_qp
+    assert seen_jordan == set()
 
 
 def test_local_factor_exact_rejects_non_primes():
     with pytest.raises(ValueError, match="prime"):
         local_factor_exact(1, 1, 1, {2, 4})
+
+
+def test_local_factor_exact_keys_are_typed():
+    # the caches are keyed by sorted prime tuples, and (2.0,) == (2,):
+    # a float or bool "prime" must be refused whether or not its int twin
+    # is cached, and a refusal must leave nothing behind
+    def closed_form(s, k, n, pset):
+        return math.prod(local_factor_cases(s, k, p, n) for p in pset)
+
+    def assert_refused():
+        for primes in ([2.0], [True], [2, 3.0], {2, 4}):
+            with pytest.raises(ValueError, match="int|prime"):
+                local_factor_exact(1, 1, 1, primes)
+
+    _clear_local_factor_caches()
+    assert_refused()
+    for pset in ((2,), (2, 3)):
+        for s, k, n in [(1, 1, 1), (2, 1, 6), (3, 2, 12)]:
+            lhs, rhs = local_factor_exact(s, k, n, pset)
+            assert lhs == rhs == closed_form(s, k, n, pset)
+            assert type(lhs.numerator) is int and type(lhs.denominator) is int
+    assert_refused()
+    assert local_factor_exact(1, 1, 1, [2]) == (Fraction(4, 3), Fraction(4, 3))
+
+    forms = ([3, 2, 5], {2, 3, 5}, (p for p in (5, 3, 2)), [5, 2, 3, 2, 5, 3])
+    results = [local_factor_exact(2, 2, 12, primes) for primes in forms]
+    assert results[0] == (closed_form(2, 2, 12, (2, 3, 5)),) * 2
+    assert [tuple(map(str, r)) for r in results] == [tuple(map(str, results[0]))] * 4
 
 
 def test_local_factor_cases_examples():

@@ -1,5 +1,6 @@
 """Static checks on the package source, stdlib only: no module imports
-a name it never uses, and every name exported through __all__ exists."""
+a name it never uses, every name exported through __all__ exists, and
+every memo is bounded."""
 
 import ast
 import importlib
@@ -65,3 +66,61 @@ def test_one_writer_of_stdout():
               and isinstance(n.func, ast.Name) and n.func.id == "print"]
     assert all(any(k.arg == "file" and _is_sys(k.value, "stderr") for k in n.keywords)
                for n in prints)
+
+
+def _is_functools(node, attr):
+    return ((isinstance(node, ast.Name) and node.id == attr)
+            or (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == "functools"))
+
+
+def _constant_maxsize(call):
+    given = [k.value for k in call.keywords if k.arg == "maxsize"] or call.args[:1]
+    if not given:
+        return None
+    try:
+        value = eval(compile(ast.Expression(given[0]), "<maxsize>", "eval"),
+                     {"__builtins__": {}})
+    except NameError:
+        return None
+    return value if type(value) is int and value >= 1 else None
+
+
+def _unbounded_memos(tree):
+    """Line numbers of every functools.cache, and of every lru_cache
+    without an explicit maxsize that is a constant int >= 1."""
+    calls = {id(n.func): n for n in ast.walk(tree) if isinstance(n, ast.Call)}
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            lines += [node.lineno for alias in node.names if alias.name == "cache"]
+        elif isinstance(node, ast.Attribute) and _is_functools(node, "cache"):
+            lines.append(node.lineno)
+        elif _is_functools(node, "lru_cache"):
+            call = calls.get(id(node))
+            if call is None or _constant_maxsize(call) is None:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source, bounded", [
+    ("@lru_cache(maxsize=1 << 12, typed=True)\ndef f(x): pass", True),
+    ("@functools.lru_cache(64)\ndef f(x): pass", True),
+    ("@lru_cache\ndef f(x): pass", False),
+    ("@lru_cache()\ndef f(x): pass", False),
+    ("@lru_cache(maxsize=None)\ndef f(x): pass", False),
+    ("@lru_cache(None, typed=True)\ndef f(x): pass", False),
+    ("@lru_cache(maxsize=LIMIT)\ndef f(x): pass", False),
+    ("f = functools.lru_cache(maxsize=0)(g)", False),
+    ("from functools import cache", False),
+    ("@functools.cache\ndef f(x): pass", False),
+])
+def test_unbounded_memo_check(source, bounded):
+    assert (_unbounded_memos(ast.parse(source)) == []) == bounded
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_memo_is_bounded(module):
+    # the lru_caches live for the whole process beside the budgeted tables,
+    # so each one must state how many entries it may keep
+    assert _unbounded_memos(ast.parse((SRC / f"{module}.py").read_text())) == []
