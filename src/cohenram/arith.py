@@ -1,10 +1,10 @@
 """Exact arithmetic primitives: factorization, scalar multiplicative
-functions, zeta evaluation, and dense multiplicative tables.
+functions, zeta evaluation, and windowed multiplicative tables.
 
 Everything here is deterministic.  The scalar functions work on plain
 Python integers, so values like J_4(n) for n around 10**6 (which need
-more than 64 bits) are exact; multiplicative_table builds a whole table
-as numpy floats, small ints, or exact Python ints, as its caller asks.
+more than 64 bits) are exact; multiplicative_table builds a table over
+any window in numpy floats, small ints or exact Python ints.
 """
 
 from __future__ import annotations
@@ -343,39 +343,74 @@ def zeta_upper_bound(z: int, cutoff: int = 100) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# dense multiplicative tables
+# multiplicative tables
 
-def multiplicative_table(limit: int, local, dtype=np.float64) -> np.ndarray:
-    """f(n) for n = 0..limit (f(0) = 0) of the multiplicative f with
-    f(p^e) = local(p, e), as a numpy array of the given dtype.
+_BLOCK = 1 << 16  # entries per block of a table build
 
-    Each prime p <= sqrt(limit) multiplies the multiples of p by one
-    strided update, local(p, e) at the multiples of p^e.  The primes
-    above sqrt(limit) divide n at most once and only with a cofactor
-    j < p, so they are applied as one indexed update per j.  Every entry
-    takes its factors in increasing prime order, so float tables are
-    identical run to run; dtype=object keeps exact Python ints.
+
+def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
+                         cap: int | None = None) -> np.ndarray:
+    """f(n) for n = lo..limit (f(0) = 0) of the multiplicative f with
+    f(p^e) = local(p, e), as a numpy array of the given dtype, filled in
+    blocks of _BLOCK entries.
+
+    In each block every prime p <= min(sqrt(limit), cap), in increasing
+    order, multiplies its multiples: by one scalar when local(p, e)
+    equals local(p, 1) at every power p^e <= limit, else by a pattern
+    with local(p, e) at the multiples of p^e.  An int64 residual of n is
+    divided by p at every power of p.  What is left is 1 or the one
+    prime P > sqrt(limit) of n, whose factor local(P, 1) comes last,
+    read from a table over the primes to cap.  Every prime above cap
+    (default limit) must have the factor 1 at every power: it is neither
+    sieved nor tracked.  local is called once per prime and power.
+    Every entry takes its factors in increasing prime order, so float
+    tables are identical run to run; dtype=object keeps exact Python
+    ints.  Peak memory is _table_bytes.
     """
-    vals = np.ones(limit + 1, dtype=dtype)
-    vals[0] = 0
-    primes = primes_upto(limit)
-    root = math.isqrt(limit)
-    n_small = int(np.searchsorted(primes, root, side="right"))
-    scratch = np.empty(limit // 2, dtype=dtype)
-    for p in primes[:n_small].tolist():
-        fac = scratch[: limit // p]  # fac[i] multiplies n = (i + 1) * p
-        fac.fill(local(p, 1))
-        q, e = p, 2
-        while q * p <= limit:  # q = p^(e-1)
-            fac[q - 1 :: q] = local(p, e)
-            q, e = q * p, e + 1
-        vals[p::p] *= fac
-    large = primes[n_small:]
-    at_large = np.array([local(p, 1) for p in large.tolist()], dtype=dtype)
-    for j in range(1, limit // (root + 1) + 1):
-        count = int(np.searchsorted(large, limit // j, side="right"))
-        vals[j * large[:count]] *= at_large[:count]
-    return vals
+    cap = limit if cap is None else cap
+    out = np.empty(limit - lo + 1, dtype=dtype)
+    primes = primes_upto(cap)
+    n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    large, small = primes[n_small:], primes[:n_small].tolist()
+    uprimes = primes[:n_small].astype(np.uint64)  # block starts may pass 2^63 - 1
+    powers = []  # local(p, e) at every power p^e <= limit, or one value if all equal
+    for p in small:
+        vals, q = [local(p, 1)], p * p
+        while q <= limit:
+            vals.append(local(p, len(vals) + 1))
+            q *= p
+        powers.append(vals[:1] if vals.count(vals[0]) == len(vals) else vals)
+    track = large.size > 0  # else every residual's factor is 1
+    if track:
+        fac = np.ones(cap + 2, dtype=dtype)  # residuals past cap read fac[cap + 1]
+        fac[large] = [local(p, 1) for p in large.tolist()]
+    scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2, dtype=dtype)
+    for start in range(lo, limit + 1, _BLOCK):
+        stop = min(limit + 1, start + _BLOCK)
+        seg = out[start - lo : stop - lo]
+        seg.fill(1)
+        rest = np.arange(start, stop, dtype=np.int64) if track else None
+        first = (uprimes - np.uint64(start) % uprimes) % uprimes  # first multiple
+        hit = first < stop - start
+        for j, i in zip(np.flatnonzero(hit).tolist(), first[hit].tolist()):
+            p, vals = small[j], powers[j]
+            if len(vals) == 1:  # a sieving prime has p^2 <= limit: all values equal
+                seg[i::p] *= vals[0]
+            else:  # pattern[t] multiplies n = start + i + t p
+                pattern = scratch[: (stop - start - 1 - i) // p + 1]
+                pattern.fill(vals[0])
+                for e, v in enumerate(vals[1:], 2):
+                    pattern[(-start % p**e - i) // p :: p ** (e - 1)] = v
+                seg[i::p] *= pattern
+            q = p
+            while track and q < stop:
+                rest[-start % q :: q] //= p
+                q *= p
+        if track:
+            seg *= fac[np.minimum(rest, cap + 1, out=rest)]
+    if lo == 0:
+        out[0] = 0
+    return out
 
 
 def _prime_count_bound(x: int) -> int:
@@ -389,10 +424,17 @@ def _primes_bytes(limit: int) -> int:
     return limit + 1 + 8 * _prime_count_bound(limit)
 
 
-def _table_bytes(limit: int, itemsize: int) -> int:
-    """Peak bytes of multiplicative_table: the output, its scratch and
-    its primes."""
-    return itemsize * (limit + 1 + limit // 2) + _primes_bytes(limit)
+def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
+    """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
+    cap=cap) for an 8-byte dtype (float64, or object pointers): the
+    output; one block's int64 residual, gathered factors and pattern;
+    the factor table and the two Python lists it is filled from
+    (68 bytes a prime, ints and floats); the primes to cap; and 256
+    bytes per sieving prime for its offsets and its local values."""
+    cap = limit if cap is None else cap
+    block = min(_BLOCK, limit - lo + 1)
+    return (8 * (limit - lo + cap + 4 + 5 * block // 2) + 68 * _prime_count_bound(cap)
+            + _primes_bytes(cap) + 256 * _prime_count_bound(min(math.isqrt(limit), cap)))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order

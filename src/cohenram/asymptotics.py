@@ -38,11 +38,13 @@ import numpy as np
 
 from .arith import (
     InternalAssertionError,
+    _BLOCK,
     _CHUNK,
     _ZETA_PRECISION,
     _check_budget,
     _prime_count_bound,
     _primes_bytes,
+    _table_bytes,
     factorize,
     multiplicative_table,
     primes_upto,
@@ -63,7 +65,6 @@ __all__ = [
     "expansion_coefficients",
 ]
 
-_BLOCK = 1 << 16  # entries per block of a windowed ratio-table build
 _BUCKET = 4096  # window ends are rounded to multiples of this
 # (block, sieving prime) pairs lhs_sum's table builds may visit: admits
 # N up to about 2.9*10^8 with a small h; a window sieves no prime past
@@ -189,65 +190,17 @@ def _factor_cap(c: int, hi: int) -> int:
 
 @lru_cache(maxsize=8)
 def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
-    """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = lo..hi as float64
-    (the entry for n = 0 is 0), filled in blocks of _BLOCK entries.
-
-    In each block every prime p <= sqrt(hi), in increasing order,
-    multiplies the multiples of p by 1 - p^-k, and an int64 residual of
-    n is divided by p at every power of p.  What is left is 1 or the one
-    prime P > sqrt(hi) of n, whose factor 1 - P^-k comes last, looked up
-    in a table of Python floats for P up to _factor_cap (beyond it the
-    factor is 1.0 and the residual is not kept at all).  Sieving primes
-    past the cap are skipped too, since their factor is 1.0 as well.  So
-    the factors other than 1.0 come in the order and with the values
-    multiplicative_table uses, and an entry equals that table's bit for
-    bit: a product of omega(n) rounded factors, within 2 omega(n) 2^-53
-    relative of the exact value.
-    Memory is the output plus one block's temporaries and, for k >= 3,
-    a factor table of at most 2^18 + 2 entries, whatever lo is.
+    """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = lo..hi as a read-only
+    float64 table (the entry for n = 0 is 0): multiplicative_table capped
+    at _factor_cap(k, hi), past which every factor is exactly 1.0.  An
+    entry is a product of omega(n) rounded factors, within
+    2 omega(n) 2^-53 relative of the exact value.  Memory is the output
+    plus one block's temporaries and, for k >= 3, a factor table of at
+    most 2^18 + 3 entries, whatever lo is.
     """
-    out = np.empty(hi - lo + 1)
-    root, cap = math.isqrt(hi), _factor_cap(k, hi)
-    primes = primes_upto(cap)
-    n_small = int(np.searchsorted(primes, root, side="right"))
-    large, primes = primes[n_small:], primes[:n_small]
-    uprimes = primes.astype(np.uint64)  # block starts may pass 2^63 - 1
-    track = large.size > 0  # else every residual's factor is 1.0
-    if track:
-        fac = np.ones(cap + 2)  # fac[P] = 1 - P^-k; residuals past cap read 1.0
-        fac[large] = [1.0 - p ** -k for p in large.tolist()]
-    for start in range(lo, hi + 1, _BLOCK):
-        stop = min(hi + 1, start + _BLOCK)
-        seg = out[start - lo : stop - lo]
-        seg.fill(1.0)
-        rest = np.arange(start, stop, dtype=np.int64) if track else None
-        # offset of each prime's first multiple
-        first = (uprimes - np.uint64(start) % uprimes) % uprimes
-        hit = first < stop - start
-        for p, i in zip(primes[hit].tolist(), first[hit].tolist()):
-            seg[i::p] *= 1.0 - p ** -k
-            q = p
-            while track and q < stop:
-                rest[-start % q :: q] //= p
-                q *= p
-        if track:
-            seg *= fac[np.minimum(rest, cap + 1, out=rest)]
-    if lo == 0:
-        out[0] = 0.0
+    out = multiplicative_table(hi, lambda p, e: 1.0 - p ** -k, lo=lo, cap=_factor_cap(k, hi))
     out.flags.writeable = False
     return out
-
-
-def _build_bytes(k: int, lo: int, hi: int) -> int:
-    """Peak bytes of _ratio_array(k, lo, hi) besides its output: one
-    block's residual and gathered factors, the factor table and the two
-    Python lists (ints and floats, 68 bytes a prime) it is filled from,
-    the primes to the cap and the per-block offsets of the sieving
-    primes, those to min(sqrt(hi), cap)."""
-    root, cap = math.isqrt(hi), _factor_cap(k, hi)
-    return (16 * min(_BLOCK, hi - lo + 1) + 8 * (cap + 2)
-            + 68 * _prime_count_bound(cap)
-            + _primes_bytes(cap) + 16 * _prime_count_bound(min(root, cap)))
 
 
 def _bucket(limit: int) -> int:
@@ -294,7 +247,8 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
             f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
             f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
     tables = sum(8 * (hi - lo + 1) for _, lo, hi in windows)
-    temps = max(24 * min(_CHUNK, N), *(_build_bytes(*w) for w in windows))
+    temps = max(24 * min(_CHUNK, N), *(_table_bytes(hi, lo, _factor_cap(k, hi))
+                                       - 8 * (hi - lo + 1) for k, lo, hi in windows))
     return wa, wb, tables, temps
 
 

@@ -301,7 +301,7 @@ def _run_main_term(config: RunConfig) -> Report:
     # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
     # 48 bytes per r for its ~32-byte ints, the weights and their support,
     # 80 bytes per term of the one chunk fsum reads, and the product's primes
-    need = ((2 if b == a else 3) * _table_bytes(R, 8) + 48 * R + 80 * min(R, _CHUNK)
+    need = ((2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
             + _product_bytes(s + min(a, b), R))
     _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
     fa = expansion_coefficients(s, a, R)

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import InternalAssertionError, factorize, divisors, mobius
+from .arith import _CHUNK, InternalAssertionError, factorize, divisors, mobius
 
 __all__ = [
     "CohenSumQuery",
@@ -112,8 +112,10 @@ def crs_direct(r: int, s: int, n: int) -> int:
     # reduce n*h mod r^s exactly before going to floats
     t = (n % m) * h % m
     ang = t * (2.0 * math.pi / m)
-    re = math.fsum(np.cos(ang).tolist())
-    im = math.fsum(np.sin(ang).tolist())
+    # fsum is correctly rounded, so reading _CHUNK terms at a time changes no bit
+    chunks = [ang[lo : lo + _CHUNK] for lo in range(0, ang.size, _CHUNK)]
+    re = math.fsum(itertools.chain.from_iterable(np.cos(c).tolist() for c in chunks))
+    im = math.fsum(itertools.chain.from_iterable(np.sin(c).tolist() for c in chunks))
     return _round_assert(re, im, f"crs_direct(r={r}, s={s}, n={n})")
 
 

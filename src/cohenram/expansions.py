@@ -129,7 +129,7 @@ def expansion_partial_sum(query: ExpansionQuery, *,
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
     # the table plus one chunk of the Python floats fsum reads
     _check_budget(f"expansion table to Q = {Q}",
-                  _table_bytes(Q, 8) + 32 * min(Q, _CHUNK), memory_budget)
+                  _table_bytes(Q) + 32 * min(Q, _CHUNK), memory_budget)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
     terms = _expansion_terms(s, k, n, Q)
 

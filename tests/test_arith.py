@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohenram import arith
 from cohenram.arith import (
+    _BLOCK,
     FactoredInteger,
     _trial_primes,
     divisor_sigma,
@@ -29,7 +30,7 @@ from cohenram.arith import (
     zeta,
     zeta_upper_bound,
 )
-from cohenram.asymptotics import _BLOCK, _ratio_array
+from cohenram.asymptotics import _ratio_array
 
 M61 = 2**61 - 1
 
@@ -395,10 +396,35 @@ _WINDOWS = [(0, 10**4), (1, 10**4), (0, _B), (60000, 200000),
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("lo, hi", _WINDOWS)
 def test_ratio_array_window_is_bit_identical(k, lo, hi):
-    want = multiplicative_table(hi, lambda p, e: 1.0 - p ** -k)[lo : hi + 1]
     got = _ratio_array(k, lo, hi)
     assert got.dtype == np.float64 and not got.flags.writeable
-    assert got.tobytes() == want.tobytes()
+    want = [0.0] if lo == 0 else []
+    for n in range(max(lo, 1), hi + 1):
+        w = 1.0  # factors 1 - p^-k in increasing prime order
+        for p, _ in factorize(n).factors:
+            w *= 1.0 - p ** -k
+        want.append(w)
+    assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+
+
+# an exponent-dependent local value takes the per-block pattern: windows
+# crossing block boundaries, and a cap below sqrt(hi) = 443, past which
+# no prime is sieved or tracked (its factor is taken to be 1)
+@pytest.mark.parametrize("lo, cap", [(_B - 1, None), (_B + 1, None), (_B + 1, 97)])
+def test_windowed_pattern_tables_match_pointwise(lo, cap):
+    hi, seen = 3 * _B, set()
+
+    def mu_local(p, e):
+        seen.add(p)
+        return -1 if e == 1 else 0
+
+    mu = multiplicative_table(hi, mu_local, np.int8, lo=lo, cap=cap)
+    j2 = multiplicative_table(hi, _jordan_local(2), object, lo=lo, cap=cap)
+    assert mu.dtype == np.int8 and len(mu) == len(j2) == hi - lo + 1
+    assert max(seen) == primes_upto(cap or hi)[-1]
+    for n, m, j in zip(range(lo, hi + 1), mu.tolist(), j2.tolist()):
+        smooth = math.prod(p**e for p, e in factorize(n).factors if p <= (cap or hi))
+        assert (m, j) == (mobius(smooth), jordan(2, smooth)), n
 
 
 @pytest.mark.parametrize("k", [3, 4])

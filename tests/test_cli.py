@@ -181,6 +181,43 @@ def test_table_commands_respect_memory_budget(capsys, argv):
     assert run_cli(capsys, *small, "--memory-budget", str(10**8)) == run_cli(capsys, *small)
 
 
+_CHARGE_SCRIPT = """
+import dataclasses, sys, tracemalloc
+from cohenram import arith, cli
+config = cli.parse_config(sys.argv[1:])
+run = cli._HANDLERS[config.command]
+arith._trial_primes()  # lives for the whole process, outside the charge
+tracemalloc.start()
+run(config)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+try:  # a charge of at least the peak refuses a budget one byte below it
+    run(dataclasses.replace(config, memory_budget=peak - 1))
+except arith.MemoryBudgetError:
+    print("refused", peak)
+else:
+    print("admitted", peak)
+"""
+
+
+# the expansion table's large-prime factors are built from Python lists
+# that the charge must count at Q = 10^6; main-term builds two
+# coefficient tables when a != b
+@pytest.mark.parametrize("argv", [
+    ("expansion", "--s", "2", "--k", "1", "--n", "30", "--Q", str(10**5)),
+    ("expansion", "--s", "2", "--k", "1", "--n", "30", "--Q", str(10**6)),
+    ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**4)),
+    ("main-term", "--s", "2", "--a", "3", "--b", "4", "--h", "12", "--R", str(2 * 10**5)),
+])
+def test_table_charge_covers_the_traced_peak(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CHARGE_SCRIPT, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split()[0] == "refused", proc.stdout
+
+
 def test_asymptotic_budget_covers_the_euler_product(capsys):
     # at N = 10 the tables fit a 10^6 budget, and so does the product to
     # P = 10^8, which visits only the primes to 1783

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import generalized_gcd, jordan, mobius
+from cohenram.arith import _CHUNK, generalized_gcd, jordan, mobius
 from cohenram.cohen import (
     CohenSumQuery,
     CohenSumValue,
@@ -239,6 +239,21 @@ def test_admissible_sets_are_not_retained():
         tracemalloc.stop()
     assert guard_retained <= 8 * DIRECT_TERM_GUARD  # one guard-sized set
     assert direct_retained <= 8 * 100**2
+
+
+def test_crs_direct_reads_its_terms_a_chunk_at_a_time():
+    # the peak is three 8-byte arrays over the admissible h (h, n*h mod r^s
+    # and the angles), the admissibility mask, and the cosines or sines of
+    # one chunk with their Python floats, not a list over every term
+    r, s = 1000, 2
+    terms = jordan(s, r)  # |{h <= r^s : (h, r^s)_s = 1}|
+    tracemalloc.start()
+    try:
+        assert crs_direct(r, s, 7) == crs_fast(r, s, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * terms + r**s + 1 + 48 * _CHUNK
 
 
 def test_direct_term_guard():
