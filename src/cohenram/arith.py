@@ -381,10 +381,10 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
             q *= p
         powers.append(vals[:1] if vals.count(vals[0]) == len(vals) else vals)
     track = large.size > 0  # else every residual's factor is 1
-    if track:
-        fac = np.ones(cap + 2, dtype=dtype)  # residuals past cap read fac[cap + 1]
-        fac[large] = [local(p, 1) for p in large.tolist()]
-    scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2, dtype=dtype)
+    fac = np.ones(cap + 2 if track else 0, dtype=dtype)  # residuals past cap read fac[cap + 1]
+    fac[large] = [local(p, 1) for p in large.tolist()]
+    patterned = any(len(vals) > 1 for vals in powers)  # else no pattern scratch
+    scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2 if patterned else 0, dtype=dtype)
     for start in range(lo, limit + 1, _BLOCK):
         stop = min(limit + 1, start + _BLOCK)
         seg = out[start - lo : stop - lo]
