@@ -346,26 +346,28 @@ def zeta_upper_bound(z: int, cutoff: int = 100) -> Fraction:
 # multiplicative tables
 
 _BLOCK = 1 << 16  # entries per block of a table build
+_GROUP = 1 << 14  # (m, P) pairs per scatter group of a table build's large primes
 
 
 def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
                          cap: int | None = None) -> np.ndarray:
     """f(n) for n = lo..limit (f(0) = 0) of the multiplicative f with
-    f(p^e) = local(p, e), as a numpy array of the given dtype, filled in
-    blocks of _BLOCK entries.
+    f(p^e) = local(p, e), as a numpy array of the given dtype.
 
-    In each block every prime p <= min(sqrt(limit), cap), in increasing
-    order, multiplies its multiples: by one scalar when local(p, e)
-    equals local(p, 1) at every power p^e <= limit, else by a pattern
-    with local(p, e) at the multiples of p^e.  An int64 residual of n is
-    divided by p at every power of p.  What is left is 1 or the one
-    prime P > sqrt(limit) of n, whose factor local(P, 1) comes last,
-    read from a table over the primes to cap.  Every prime above cap
-    (default limit) must have the factor 1 at every power: it is neither
-    sieved nor tracked.  local is called once per prime and power.
-    Every entry takes its factors in increasing prime order, so float
-    tables are identical run to run; dtype=object keeps exact Python
-    ints.  Peak memory is _table_bytes.
+    First, in blocks of _BLOCK entries, every prime p <= min(sqrt(limit),
+    cap), in increasing order, multiplies its multiples: by one scalar
+    when local(p, e) equals local(p, 1) at every power p^e <= limit, else
+    by a pattern with local(p, e) at the multiples of p^e.  Then each
+    prime P in (sqrt(limit), cap] multiplies local(P, 1) into its
+    multiples n = m P, batched by cofactor: m <= limit // P < P, and for
+    each m two searchsorted calls give the run of primes with m P in
+    [lo, limit]; the runs are scattered in groups of _GROUP (m, P) pairs.
+    Such a P is the largest prime of n and n has only one, so every
+    entry takes its factors in increasing prime order and float tables
+    are identical run to run; dtype=object keeps exact Python ints.
+    Every prime above cap (default limit) must have the factor 1 at
+    every power: it is not visited.  local is called once per prime and
+    power.  Peak memory is _table_bytes.
     """
     cap = limit if cap is None else cap
     out = np.empty(limit - lo + 1, dtype=dtype)
@@ -380,16 +382,12 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
             vals.append(local(p, len(vals) + 1))
             q *= p
         powers.append(vals[:1] if vals.count(vals[0]) == len(vals) else vals)
-    track = large.size > 0  # else every residual's factor is 1
-    fac = np.ones(cap + 2 if track else 0, dtype=dtype)  # residuals past cap read fac[cap + 1]
-    fac[large] = [local(p, 1) for p in large.tolist()]
     patterned = any(len(vals) > 1 for vals in powers)  # else no pattern scratch
     scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2 if patterned else 0, dtype=dtype)
     for start in range(lo, limit + 1, _BLOCK):
         stop = min(limit + 1, start + _BLOCK)
         seg = out[start - lo : stop - lo]
         seg.fill(1)
-        rest = np.arange(start, stop, dtype=np.int64) if track else None
         first = (uprimes - np.uint64(start) % uprimes) % uprimes  # first multiple
         hit = first < stop - start
         for j, i in zip(np.flatnonzero(hit).tolist(), first[hit].tolist()):
@@ -402,12 +400,22 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
                 for e, v in enumerate(vals[1:], 2):
                     pattern[(-start % p**e - i) // p :: p ** (e - 1)] = v
                 seg[i::p] *= pattern
-            q = p
-            while track and q < stop:
-                rest[-start % q :: q] //= p
-                q *= p
-        if track:
-            seg *= fac[np.minimum(rest, cap + 1, out=rest)]
+    if large.size:
+        values = np.array([local(p, 1) for p in large.tolist()], dtype=dtype)
+        cofactors = np.arange(max(1, -(-lo // int(large[-1]))), limit // int(large[0]) + 1)
+        first = np.searchsorted(large, -(-lo // cofactors))  # primes with m P in [lo, limit]
+        runs = np.searchsorted(large, limit // cofactors, side="right") - first
+        ends = np.cumsum(runs)
+        starts = ends - runs
+        for g in range(0, int(runs.sum()), _GROUP):
+            # the cofactors a..b-1 own pairs g..g + _GROUP - 1 of the runs laid end to end
+            a, b = np.searchsorted(ends, [g, g + _GROUP - 1], side="right").tolist()
+            b = min(b + 1, ends.size)
+            skip = np.maximum(g - starts[a:b], 0)  # pairs taken by earlier groups
+            taken = np.minimum(ends[a:b], g + _GROUP) - starts[a:b] - skip
+            index = np.arange(taken.sum()) + np.repeat(
+                first[a:b] + skip - (np.cumsum(taken) - taken), taken)
+            np.multiply.at(out, np.repeat(cofactors[a:b], taken) * large[index] - lo, values[index])
     if lo == 0:
         out[0] = 0
     return out
@@ -427,17 +435,33 @@ def _primes_bytes(limit: int) -> int:
 def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
     """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
     cap=cap) for an 8-byte dtype (float64, or object pointers): the
-    output; one block's int64 residual, gathered factors and pattern;
-    the factor table and the two Python lists it is filled from
-    (68 bytes a prime, ints and floats); the primes to cap; and 256
-    bytes per sieving prime for its offsets and its local values."""
+    output; the primes to cap; 176 bytes per sieving prime (its Python
+    int, its list of local values, its offsets in a block); one block's
+    pattern scratch and 96 bytes per sieving prime with a multiple in
+    the block (that offset as a Python int); 88 bytes per large prime
+    (its value, and the Python lists of ints and values it is built
+    from); 104 bytes per cofactor (its run of primes, and its share of a
+    scatter group's run arrays); and 32 bytes per pair of one group.
+
+    A block of L entries holds multiples of at most pi(L) primes <= L,
+    and each entry has fewer than log2(limit) / log2(L) prime factors
+    above L, since such a prime exceeds 2^(bit_length(L) - 1)."""
     cap = limit if cap is None else cap
-    block = min(_BLOCK, limit - lo + 1)
-    return (8 * (limit - lo + cap + 4 + 5 * block // 2) + 68 * _prime_count_bound(cap)
-            + _primes_bytes(cap) + 256 * _prime_count_bound(min(math.isqrt(limit), cap)))
+    entries, root = limit - lo + 1, math.isqrt(limit)
+    block = min(_BLOCK, entries)
+    sieving = _prime_count_bound(min(root, cap))
+    hits = min(sieving, _prime_count_bound(block)
+               + block * (limit.bit_length() // max(1, block.bit_length() - 1)))
+    large = _prime_count_bound(cap) if cap > root else 0
+    cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
+    return (8 * entries + _primes_bytes(cap) + 176 * sieving + 4 * (block + 1) + 96 * hits
+            + 88 * large + 104 * cofactors + 32 * min(_GROUP, entries))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order
+# bytes charged for the small objects of one budgeted call (array headers,
+# closures, short lists), which no per-entry term counts: a few KB measured
+_CALL_BYTES = 1 << 14
 _ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
 
 

@@ -39,6 +39,7 @@ import numpy as np
 from .arith import (
     InternalAssertionError,
     _BLOCK,
+    _CALL_BYTES,
     _CHUNK,
     _ZETA_PRECISION,
     _check_budget,
@@ -72,9 +73,7 @@ _BUCKET = 4096  # window ends are rounded to multiples of this
 _SIEVE_WORK_LIMIT = 10**7
 _CHECK_R = 100  # asymptotic_verify re-checks c_r^s(h) = c_r^s(m^s) for r <= this
 # bytes charged for each cache entry that check adds (about 200 measured)
-# and for the small objects of one asymptotic_verify call (about 6 KB)
 _ENTRY_BYTES = 256
-_CALL_BYTES = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from operator import ne
 
 from .arith import (
     InternalAssertionError,
+    _CALL_BYTES,
     _CHUNK,
     _check_budget,
     _table_bytes,
@@ -300,9 +301,10 @@ def _run_main_term(config: RunConfig) -> Report:
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
     # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
     # 48 bytes per r for its ~32-byte ints, the weights and their support,
-    # 80 bytes per term of the one chunk fsum reads, and the product's primes
+    # 80 bytes per term of the one chunk fsum reads, the product's primes
+    # and the call's small objects
     need = ((2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
-            + _product_bytes(s + min(a, b), R))
+            + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
     _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)

@@ -24,6 +24,7 @@ from operator import mul, sub
 import numpy as np
 
 from .arith import (
+    _CALL_BYTES,
     _CHUNK,
     _ZETA_PRECISION,
     _check_budget,
@@ -127,9 +128,9 @@ def expansion_partial_sum(query: ExpansionQuery, *,
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    # the table plus one chunk of the Python floats fsum reads
+    # the table, one chunk of the Python floats fsum reads and the call's small objects
     _check_budget(f"expansion table to Q = {Q}",
-                  _table_bytes(Q) + 32 * min(Q, _CHUNK), memory_budget)
+                  _table_bytes(Q) + 32 * min(Q, _CHUNK) + _CALL_BYTES, memory_budget)
     target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
     terms = _expansion_terms(s, k, n, Q)
 

@@ -386,11 +386,17 @@ def test_cache_rejects_wide_entries():
 # windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
 # entries from lo): whole tables from 0 and 1, a last block of a single
 # entry, windows crossing block boundaries with lo one below and one
-# above 2^16, a prime at sqrt(hi) (97^2), a prime hi, and lo > sqrt(hi)
+# above 2^16, a prime at sqrt(hi) (97^2), a prime hi, and lo > sqrt(hi).
+# Then edges of the cofactor phase over the primes in (sqrt(hi), cap]:
+# four entries none of which has such a prime, so every cofactor's run
+# is empty; at lo = 2^34 the k = 3 cofactors m run from lo / 2^18 to
+# sqrt(hi), the widest range, about 2^16; and [0, 2^18], where the run
+# of m = 1 holds ~23,000 primes at k = 3, more than one _GROUP of 2^14
 _B = _BLOCK
 _WINDOWS = [(0, 10**4), (1, 10**4), (0, _B), (60000, 200000),
             (_B - 1, 3 * _B), (_B + 1, 3 * _B), (0, 97**2), (1, 9973),
-            (5000, 9973), (1007616, 1130496)]
+            (5000, 9973), (1007616, 1130496),
+            (10000036, 10000039), (2**34, 2**34 + 2047), (0, 2**18)]
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -408,9 +414,12 @@ def test_ratio_array_window_is_bit_identical(k, lo, hi):
 
 
 # an exponent-dependent local value takes the per-block pattern: windows
-# crossing block boundaries, and a cap below sqrt(hi) = 443, past which
-# no prime is sieved or tracked (its factor is taken to be 1)
-@pytest.mark.parametrize("lo, cap", [(_B - 1, None), (_B + 1, None), (_B + 1, 97)])
+# crossing block boundaries, a cap below sqrt(hi) = 443, past which no
+# prime is visited (its factor is taken to be 1), and a cap between
+# sqrt(hi) and lo, so that the large primes to the cap are scattered by
+# cofactor m >= 4 and those past it are skipped
+@pytest.mark.parametrize("lo, cap", [(_B - 1, None), (_B + 1, None), (_B + 1, 97),
+                                     (2 * _B + 1, 40000)])
 def test_windowed_pattern_tables_match_pointwise(lo, cap):
     hi, seen = 3 * _B, set()
 

@@ -455,10 +455,12 @@ print(tracemalloc.get_traced_memory()[1], _verify_bytes(query))
 
 # a, b >= 4 make the summation chunk the largest temporary, where the
 # charge is tightest; a huge shift and a huge prime cutoff are charged
-# only for the primes their sieves visit
+# only for the primes their sieves visit; a far k = 3 window sieves
+# ~23,000 primes, most of which have no multiple in its one block.
+# Every charge is also at most twice its peak
 @pytest.mark.parametrize("key", [(2, 4, 4, 12, 10**6), (2, 5, 5, 12, 10**6),
                                  (2, 3, 3, 12, 10), (2, 3, 4, 10**17, 10),
-                                 (2, 3, 3, 12, 10, 10**8)])
+                                 (2, 3, 3, 12, 10, 10**8), (2, 4, 3, 10**12, 10)])
 def test_verify_charge_covers_the_traced_peak(key):
     src = os.path.dirname(os.path.dirname(asymptotics.__file__))
     env = {**os.environ,
@@ -467,6 +469,7 @@ def test_verify_charge_covers_the_traced_peak(key):
                           capture_output=True, text=True, env=env, check=True)
     peak, charge = map(int, proc.stdout.split())
     assert peak <= charge
+    assert charge <= 2 * peak
 
 
 def test_report_serialization():

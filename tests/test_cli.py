@@ -202,12 +202,14 @@ else:
 
 # the expansion table's large-prime factors are built from Python lists
 # that the charge must count at Q = 10^6; main-term builds two
-# coefficient tables when a != b
+# coefficient tables when a != b; at Q = 10 the call's small objects
+# outweigh the table
 @pytest.mark.parametrize("argv", [
     ("expansion", "--s", "2", "--k", "1", "--n", "30", "--Q", str(10**5)),
     ("expansion", "--s", "2", "--k", "1", "--n", "30", "--Q", str(10**6)),
     ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**4)),
     ("main-term", "--s", "2", "--a", "3", "--b", "4", "--h", "12", "--R", str(2 * 10**5)),
+    ("expansion", "--s", "2", "--k", "1", "--n", "30", "--Q", "10"),
 ])
 def test_table_charge_covers_the_traced_peak(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -216,6 +218,31 @@ def test_table_charge_covers_the_traced_peak(argv):
     proc = subprocess.run([sys.executable, "-c", _CHARGE_SCRIPT, *argv],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split()[0] == "refused", proc.stdout
+
+
+_IMPORTS_SCRIPT = """
+import contextlib, io, sys
+from cohenram import cli
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in sys.argv[1:]:
+        assert cli.main(argv.split()) == 0, argv
+print(*sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "numpy"))
+"""
+
+
+def test_cold_commands_import_no_numpy_submodule():
+    # a numpy function that imports a submodule on its first call (np.unique
+    # imports numpy.ma) puts that import inside every cold command-line run
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = ["asymptotic --s 2 --a 3 --b 4 --h 1010000 --N 100000",
+             "expansion --s 2 --k 1 --n 30 --Q 100000",
+             "main-term --s 2 --a 3 --b 4 --h 12 --R 10000"]
+    proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, *argvs],
+                          capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_asymptotic_budget_covers_the_euler_product(capsys):
