@@ -403,7 +403,8 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     if large.size:
         values = np.array([local(p, 1) for p in large.tolist()], dtype=dtype)
         cofactors = np.arange(max(1, -(-lo // int(large[-1]))), limit // int(large[0]) + 1)
-        first = np.searchsorted(large, -(-lo // cofactors))  # primes with m P in [lo, limit]
+        # each cofactor m's run of primes: large[first:first + runs] have m P in [lo, limit]
+        first = np.searchsorted(large, -(-lo // cofactors))
         runs = np.searchsorted(large, limit // cofactors, side="right") - first
         ends = np.cumsum(runs)
         starts = ends - runs

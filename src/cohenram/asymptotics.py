@@ -194,8 +194,10 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
     at _factor_cap(k, hi), past which every factor is exactly 1.0.  An
     entry is a product of omega(n) rounded factors, within
     2 omega(n) 2^-53 relative of the exact value.  Memory is the output
-    plus one block's temporaries and, for k >= 3, a factor table of at
-    most 2^18 + 3 entries, whatever lo is.
+    plus one block's temporaries and, past sqrt(hi), the values of the
+    primes to the cap (at most 23,000 of them, at k = 3), one run bound
+    per cofactor (at most sqrt(hi) < 2^18 of them) and one scatter group
+    of 2^14 pairs, whatever lo is.
     """
     out = multiplicative_table(hi, lambda p, e: 1.0 - p ** -k, lo=lo, cap=_factor_cap(k, hi))
     out.flags.writeable = False
@@ -233,7 +235,10 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
 
     Before any of that, the (block, sieving prime) steps of the builds,
     over the primes to min(sqrt(hi), _factor_cap), are bounded by
-    _SIEVE_WORK_LIMIT, which refuses a long N at once.
+    _SIEVE_WORK_LIMIT, which refuses a long N at once.  The cofactor
+    phase of a build, over the primes in (sqrt(hi), _factor_cap], needs
+    no bound of its own: it scatters at most one pair per entry of the
+    window, after one pass over at most sqrt(hi) cofactors.
     """
     h, N = query.h, query.N
     wa, wb = _lhs_windows(query.a, query.b, h, N)
