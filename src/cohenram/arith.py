@@ -355,9 +355,11 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     f(p^e) = local(p, e), as a numpy array of the given dtype.
 
     First, in blocks of _BLOCK entries, every prime p <= min(sqrt(limit),
-    cap), in increasing order, multiplies its multiples: by one scalar
-    when local(p, e) equals local(p, 1) at every power p^e <= limit, else
-    by a pattern with local(p, e) at the multiples of p^e.  Then each
+    cap) with a multiple in [lo, limit], in increasing order, multiplies
+    its multiples: by one scalar when local(p, e) equals local(p, 1) at
+    every power p^e <= limit, else by a pattern with local(p, e) at the
+    multiples of p^e.  A sieving prime with no multiple in the window is
+    skipped, so local is never called at it.  Then each
     prime P in (sqrt(limit), cap] multiplies local(P, 1) into its
     multiples n = m P, batched by cofactor: m <= limit // P < P, and for
     each m two searchsorted calls give the run of primes with m P in
@@ -366,8 +368,8 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     entry takes its factors in increasing prime order and float tables
     are identical run to run; dtype=object keeps exact Python ints.
     Every prime above cap (default limit) must have the factor 1 at
-    every power: it is not visited.  local is called once per prime and
-    power.  Peak memory is _table_bytes.
+    every power: it is not visited.  local is called once per visited
+    prime and power.  Peak memory is _table_bytes.
     """
     cap = limit if cap is None else cap
     out = np.empty(limit - lo + 1, dtype=dtype)
@@ -377,6 +379,9 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     uprimes = primes[:n_small].astype(np.uint64)  # block starts may pass 2^63 - 1
     powers = []  # local(p, e) at every power p^e <= limit, or one value if all equal
     for p in small:
+        if -lo % p > limit - lo:  # no multiple in [lo, limit]: no block reads it
+            powers.append(())
+            continue
         vals, q = [local(p, 1)], p * p
         while q <= limit:
             vals.append(local(p, len(vals) + 1))
@@ -436,27 +441,36 @@ def _primes_bytes(limit: int) -> int:
 def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
     """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
     cap=cap) for an 8-byte dtype (float64, or object pointers): the
-    output; the primes to cap; 176 bytes per sieving prime (its Python
-    int, its list of local values, its offsets in a block); one block's
-    pattern scratch and 96 bytes per sieving prime with a multiple in
-    the block (that offset as a Python int); 88 bytes per large prime
-    (its value, and the Python lists of ints and values it is built
-    from); 104 bytes per cofactor (its run of primes, and its share of a
-    scatter group's run arrays); and 32 bytes per pair of one group.
+    output; the primes to cap; 176 bytes per sieving prime that can have
+    a multiple in the window (its Python int, its list of local values,
+    its offsets in a block); one block's pattern scratch and 96 bytes per
+    sieving prime with a multiple in the block (that offset as a Python
+    int); 88 bytes per large prime (its value, and the Python lists of
+    ints and values it is built from); 104 bytes per cofactor (its run
+    of primes, and its share of a scatter group's run arrays); and
+    32 bytes per pair of one group.
 
-    A block of L entries holds multiples of at most pi(L) primes <= L,
-    and each entry has fewer than log2(limit) / log2(L) prime factors
-    above L, since such a prime exceeds 2^(bit_length(L) - 1)."""
+    A run of L entries, the window or one block, holds multiples of at
+    most pi(L) primes <= L, and each entry has fewer than
+    log2(limit) / log2(L) prime factors above L, since such a prime
+    exceeds 2^(bit_length(L) - 1).  A sieving prime with no multiple in
+    the window keeps its Python int and block offsets but no list; those
+    are not charged on their own, and on far windows the margin of the
+    window bound, which allows about three primes per entry above L,
+    covers them."""
+
+    def touching(run: int) -> int:  # sieving primes with a multiple in a run
+        return min(sieving, _prime_count_bound(run)
+                   + run * (limit.bit_length() // max(1, run.bit_length() - 1)))
+
     cap = limit if cap is None else cap
     entries, root = limit - lo + 1, math.isqrt(limit)
     block = min(_BLOCK, entries)
     sieving = _prime_count_bound(min(root, cap))
-    hits = min(sieving, _prime_count_bound(block)
-               + block * (limit.bit_length() // max(1, block.bit_length() - 1)))
     large = _prime_count_bound(cap) if cap > root else 0
     cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
-    return (8 * entries + _primes_bytes(cap) + 176 * sieving + 4 * (block + 1) + 96 * hits
-            + 88 * large + 104 * cofactors + 32 * min(_GROUP, entries))
+    return (8 * entries + _primes_bytes(cap) + 176 * touching(entries) + 4 * (block + 1)
+            + 96 * touching(block) + 88 * large + 104 * cofactors + 32 * min(_GROUP, entries))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order

@@ -217,20 +217,32 @@ def kvector_sum(k: int, n: int, r: int) -> int:
     gcd(x_1, ..., x_k, r) = 1 and sums e^(2*pi*i*n*(x_1+...+x_k)/r).
     The value does not depend on which residue system is used.
     Guarded to r^k <= 10^7 tuples.
+
+    The tuples are read as flat indices 0..r^k - 1, _CHUNK at a time:
+    their k base-r digits come from divmod, np.gcd against r picks the
+    admissible ones, and n mod r times the digit sum mod r stays below
+    r^2, so no int64 overflows.  Only the admissible angles are kept, as
+    one float64 array per chunk; the cosines and then the sines are
+    streamed from them into one fsum each, as in crs_direct, and no list
+    over every term is built.
     """
     if k < 1 or r < 1:
         raise ValueError(f"need k >= 1, r >= 1, got k={k}, r={r}")
-    if r**k > DIRECT_TERM_GUARD:
-        raise ValueError(f"kvector_sum guard: r^k = {r**k} exceeds {DIRECT_TERM_GUARD}")
-    step = 2.0 * math.pi / r
-    res, ims = [], []
-    for xs in itertools.product(range(r), repeat=k):
-        if math.gcd(*xs, r) == 1:
-            ang = (n * sum(xs) % r) * step
-            res.append(math.cos(ang))
-            ims.append(math.sin(ang))
-    return _round_assert(math.fsum(res), math.fsum(ims),
-                         f"kvector_sum(k={k}, n={n}, r={r})")
+    m = r**k
+    if m > DIRECT_TERM_GUARD:
+        raise ValueError(f"kvector_sum guard: r^k = {m} exceeds {DIRECT_TERM_GUARD}")
+    step, nr = 2.0 * math.pi / r, n % r
+    chunks = []
+    for lo in range(0, m, _CHUNK):
+        rest = np.arange(lo, min(lo + _CHUNK, m))
+        common, total = r, 0  # gcd of r and the digits so far, and their sum
+        for _ in range(k):
+            rest, digit = np.divmod(rest, r)
+            common, total = np.gcd(common, digit), total + digit
+        chunks.append((nr * (total[common == 1] % r) % r) * step)
+    re = math.fsum(itertools.chain.from_iterable(np.cos(c).tolist() for c in chunks))
+    im = math.fsum(itertools.chain.from_iterable(np.sin(c).tolist() for c in chunks))
+    return _round_assert(re, im, f"kvector_sum(k={k}, n={n}, r={r})")
 
 
 def evaluate(query: CohenSumQuery, evaluator: str = "multiplicative") -> CohenSumValue:

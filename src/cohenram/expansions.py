@@ -164,13 +164,16 @@ def _divisor_lattice(pset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 # so a float s + k never reads an int row
 @lru_cache(maxsize=5 * 64, typed=True)
 def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
-    """(qs, mu(q) J_sk(Q_P/q) for each q in qs, J_sk(Q_P), J_sk(p) for
-    each p in pset): everything in local_factor_exact that does not
-    depend on n.  J_sk is read at every complement, composite ones
-    included."""
+    """(qs, mu(q) J_sk(Q_P/q) for each q in qs, J_sk(Q_P), the index of
+    each p of pset in qs, J_sk(p) for each p, and their product):
+    everything in local_factor_exact that does not depend on n.  J_sk is
+    read at every complement, composite ones included.  The i-th prime
+    of pset sits at index 2^i of the divisor lattice."""
     qs, mus, complements = _divisor_lattice(pset)
     weights = tuple(mu * jordan(sk, c) for mu, c in zip(mus, complements))
-    return qs, weights, jordan(sk, complements[0]), tuple(jordan(sk, p) for p in pset)
+    jp = tuple(jordan(sk, p) for p in pset)
+    return (qs, weights, jordan(sk, complements[0]), tuple(1 << i for i in range(len(pset))),
+            jp, math.prod(jp))
 
 
 def local_factor_exact(s: int, k: int, n: int,
@@ -184,20 +187,24 @@ def local_factor_exact(s: int, k: int, n: int,
     exact rationals; this is the finite skeleton of the series-to-product
     step, with no floating point involved.
 
-    Both sides are accumulated as integers over one common denominator,
-    J_{s+k}(Q_P) with Q_P the product of P: every q divides Q_P and is
-    coprime to Q_P/q, so J_{s+k}(Q_P)/J_{s+k}(q) = J_{s+k}(Q_P/q).
+    The lhs is accumulated as an integer over J_{s+k}(Q_P) with Q_P the
+    product of P: every q divides Q_P and is coprime to Q_P/q, so
+    J_{s+k}(Q_P)/J_{s+k}(q) = J_{s+k}(Q_P/q).  The rhs is the integer
+    product of J_{s+k}(p) - c_p^s(n^s) over the product of the J_{s+k}(p).
+    When the two numerators are equal and the two denominators are
+    equal, one normalised Fraction is built and returned as both sides;
+    otherwise each side gets its own.
 
     What depends only on P is cached: the divisors q of Q_P with mu(q)
     and Q_P/q (_divisor_lattice, 64 sets), and the weights
-    mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P) and each J_{s+k}(p)
-    (_jordan_row, 320 pairs of s + k and P).  Both caches are keyed by
-    the sorted distinct primes, and every p is checked to be an int
-    before either is read: (2.0,) == (2,), so a float or bool "prime"
+    mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P), each J_{s+k}(p) and their
+    product (_jordan_row, 320 pairs of s + k and P).  Both caches are
+    keyed by the sorted distinct primes, and every p is checked to be an
+    int before either is read: (2.0,) == (2,), so a float or bool "prime"
     would otherwise be answered from its int twin's entry.
-    Each call still evaluates crs_fast at every q | Q_P, composite q
+    Each call evaluates crs_fast once at every q | Q_P, composite q
     included, so the lhs is never derived from the per-prime factors of
-    the rhs.
+    the rhs; the rhs reads its prime values from the same evaluations.
     """
     if min(s, k, n) < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
@@ -205,14 +212,17 @@ def local_factor_exact(s: int, k: int, n: int,
     for p in pset:
         if type(p) is not int:
             raise ValueError(f"primes must be ints, got {type(p).__name__} {p!r}")
-    qs, weights, jqp, jp = _jordan_row(s + k, pset)
+    qs, weights, jqp, at_p, jp, jp_prod = _jordan_row(s + k, pset)
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    lhs = Fraction(sum(map(mul, weights, map(crs_fast, qs, repeat(s), repeat(ns)))), jqp)
-    rhs = Fraction(math.prod(map(sub, jp, map(crs_fast, pset, repeat(s), repeat(ns)))),
-                   math.prod(jp))
-    return lhs, rhs
+    crs = tuple(map(crs_fast, qs, repeat(s), repeat(ns)))
+    lhs_num = sum(map(mul, weights, crs))
+    rhs_num = math.prod(map(sub, jp, map(crs.__getitem__, at_p)))
+    lhs = Fraction(lhs_num, jqp)
+    if lhs_num == rhs_num and jqp == jp_prod:
+        return lhs, lhs
+    return lhs, Fraction(rhs_num, jp_prod)
 
 
 def local_factor_cases(s: int, k: int, p: int, n: int) -> Fraction:

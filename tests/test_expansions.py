@@ -194,6 +194,31 @@ def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
     assert seen_jordan == set()
 
 
+def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
+    # equal sides come back as one normalised Fraction; a wrong crs_fast
+    # value at the composite q = 6 changes only the lhs, and the rhs, read
+    # from the prime values of the same evaluations, stays the product of
+    # the closed-form local factors
+    pset = (2, 3, 5)
+    for s, k, n in [(1, 1, 1), (2, 1, 6), (2, 3, 12), (3, 2, 7)]:
+        closed_form = math.prod(local_factor_cases(s, k, p, n) for p in pset)
+        lhs, rhs = local_factor_exact(s, k, n, pset)
+        assert lhs == rhs == closed_form
+        for side in (lhs, rhs):
+            assert type(side) is Fraction
+            assert type(side.numerator) is int and type(side.denominator) is int
+            assert side.denominator > 0 and math.gcd(side.numerator, side.denominator) == 1
+
+    def wrong_at_6(r, s, n):
+        return crs_fast(r, s, n) + (r == 6)
+
+    monkeypatch.setattr(expansions, "crs_fast", wrong_at_6)
+    for s, k, n in [(1, 1, 1), (2, 1, 6), (2, 3, 12), (3, 2, 7)]:
+        lhs, rhs = local_factor_exact(s, k, n, pset)
+        assert lhs != rhs
+        assert rhs == math.prod(local_factor_cases(s, k, p, n) for p in pset)
+
+
 def test_local_factor_exact_rejects_non_primes():
     with pytest.raises(ValueError, match="prime"):
         local_factor_exact(1, 1, 1, {2, 4})
