@@ -454,10 +454,10 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
     most pi(L) primes <= L, and each entry has fewer than
     log2(limit) / log2(L) prime factors above L, since such a prime
     exceeds 2^(bit_length(L) - 1).  A sieving prime with no multiple in
-    the window keeps its Python int and block offsets but no list; those
-    are not charged on their own, and on far windows the margin of the
-    window bound, which allows about three primes per entry above L,
-    covers them."""
+    the window keeps its Python int and block offsets but no list.  Those
+    are not charged on their own: the window bound allows about three
+    primes per entry above L where about one in two entries has one, and
+    that margin, not a proof, covers them on far windows."""
 
     def touching(run: int) -> int:  # sieving primes with a multiple in a run
         return min(sieving, _prime_count_bound(run)

@@ -209,8 +209,9 @@ def _kvector_reference(counts, n, r):
 
 def test_kvector_sum_matches_the_itertools_reference():
     # every (k, r) with r <= 40 and r^k <= 2 * 10^5, plus two cases whose
-    # r^k tuples span two _CHUNK slices; n takes negative, zero and
-    # int64-overflowing values, which kvector_sum reduces mod r first
+    # r^k tuples span two _CHUNK slices; n takes negative and zero values
+    # and one whose product with a digit sum overflows int64, which
+    # kvector_sum avoids by reducing n mod r first
     cases = [(k, r) for k in (1, 2, 3) for r in range(1, 41) if r**k <= 2 * 10**5]
     cases += [(2, 300), (3, 41)]
     assert all(r**k > _CHUNK for k, r in cases[-2:])

@@ -199,11 +199,14 @@ def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
     # value at the composite q = 6 changes only the lhs, and the rhs, read
     # from the prime values of the same evaluations, stays the product of
     # the closed-form local factors
-    pset = (2, 3, 5)
-    for s, k, n in [(1, 1, 1), (2, 1, 6), (2, 3, 12), (3, 2, 7)]:
-        closed_form = math.prod(local_factor_cases(s, k, p, n) for p in pset)
+    pset, cases = (2, 3, 5), [(1, 1, 1), (2, 1, 6), (2, 3, 12), (3, 2, 7)]
+
+    def closed_form(s, k, n):
+        return math.prod(local_factor_cases(s, k, p, n) for p in pset)
+
+    for s, k, n in cases:
         lhs, rhs = local_factor_exact(s, k, n, pset)
-        assert lhs == rhs == closed_form
+        assert lhs == rhs == closed_form(s, k, n)
         for side in (lhs, rhs):
             assert type(side) is Fraction
             assert type(side.numerator) is int and type(side.denominator) is int
@@ -213,10 +216,10 @@ def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
         return crs_fast(r, s, n) + (r == 6)
 
     monkeypatch.setattr(expansions, "crs_fast", wrong_at_6)
-    for s, k, n in [(1, 1, 1), (2, 1, 6), (2, 3, 12), (3, 2, 7)]:
+    for s, k, n in cases:
         lhs, rhs = local_factor_exact(s, k, n, pset)
         assert lhs != rhs
-        assert rhs == math.prod(local_factor_cases(s, k, p, n) for p in pset)
+        assert rhs == closed_form(s, k, n)
 
 
 def test_local_factor_exact_rejects_non_primes():
