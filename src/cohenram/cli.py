@@ -12,14 +12,13 @@ all scientific parameters must be spelled out as flags.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, product
 from operator import ne
 
@@ -66,105 +65,86 @@ class RunConfig:
     memory_budget: int | None = None
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on bad usage by default; 2 is reserved for
-    # internal assertion failures here, so route through ValueError
-    def error(self, message):
-        raise ValueError(message)
-
-
-def _required_ints(q: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        q.add_argument(f"--{name}", type=int, required=True)
-
-
-@lru_cache(maxsize=1)  # built once per process: parse_args leaves the tree unchanged
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--output", choices=("plain", "json", "csv"),
-                        default="plain", help="report format (default plain)")
-    # only the commands that build tables take a budget
-    budgeted = argparse.ArgumentParser(add_help=False, parents=[common])
-    budgeted.add_argument("--memory-budget", type=int, default=None, metavar="BYTES",
-                          help="cap on table memory "
-                               "(default COHENRAM_MEMORY_BUDGET or unlimited)")
-
-    p = _Parser(prog="cohenram",
-                description="Cohen-Ramanujan sums, Jordan totients, and "
-                            "verification of their expansion and shifted-"
-                            "convolution identities.")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    q = sub.add_parser("sum", parents=[common], help="evaluate c_r^s(n)")
-    q.add_argument("--r", type=int, required=True, help="modulus index, >= 1")
-    q.add_argument("--s", type=int, required=True, help="power parameter, >= 1")
-    q.add_argument("--n", type=int, required=True, help="argument, >= 0")
-    q.add_argument("--evaluator", choices=("multiplicative", "divisor-sum", "direct"),
-                   default="multiplicative",
-                   help="route: multiplicative (default), divisor-sum oracle, "
-                        "or literal direct sum (r^s <= 10^7)")
-
-    q = sub.add_parser("jordan", parents=[common], help="evaluate J_k(n)")
-    q.add_argument("--k", type=int, required=True, help="totient order, >= 1")
-    q.add_argument("--n", type=int, required=True, help="argument, >= 1")
-
-    q = sub.add_parser("gcd-s", parents=[common],
-                       help="generalized gcd (m, n)_s, the largest l^s dividing both")
-    _required_ints(q, "m", "n", "s")
-
-    q = sub.add_parser("expansion", parents=[budgeted],
-                       help="partial sums of sum_q mu(q) c_q^s(n^s)/J_{s+k}(q) "
-                            "vs zeta(s+k) J_k(n)/n^k")
-    _required_ints(q, "s", "k", "n")
-    q.add_argument("--Q", type=int, required=True, help="series cutoff, >= 1")
-
-    q = sub.add_parser("local-check", parents=[common],
-                       help="exact rational Euler-factor identity over a prime set")
-    _required_ints(q, "s", "k", "n")
-    q.add_argument("--primes", required=True,
-                   help="comma-separated primes, e.g. 2,3,5 (empty string for none)")
-
-    q = sub.add_parser("sivaramakrishnan", parents=[common],
-                       help="k-vector variant partial sums (evidence grade, small R)")
-    _required_ints(q, "s", "k", "n")
-    q.add_argument("--R", type=int, required=True,
-                   help="cutoff; needs the sum of r^s over squarefree r <= R "
-                        "to be <= 10^7 (R <= 5737, 370, 88 at s = 1, 2, 3)")
-
-    q = sub.add_parser("asymptotic", parents=[budgeted],
-                       help="shifted-convolution sum vs truncated Euler product")
-    _required_ints(q, "s", "a", "b")
-    q.add_argument("--h", type=int, required=True, help="shift, >= 1")
-    q.add_argument("--N", type=int, required=True, help="summation limit")
-    q.add_argument("--prime-cutoff", type=int, default=10**5)
-    q.add_argument("--tolerance", type=float, default=0.02)
-    q.add_argument("--emit-plot-data", metavar="PATH",
-                   help="also write ratio-vs-N as two whitespace-separated columns")
-
-    q = sub.add_parser("main-term", parents=[budgeted],
-                       help="generic main-term series with the Jordan-ratio "
-                            "coefficients, compared to the Euler product")
-    _required_ints(q, "s", "a", "b", "h")
-    q.add_argument("--R", type=int, required=True,
-                   help="series cutoff, and also the prime cutoff of the "
-                        "Euler product it is compared to")
-
-    q = sub.add_parser("repro-all", parents=[budgeted],
-                       help="one-command reproduction: the full exact local-factor "
-                            "grid plus the default shifted-convolution verification; "
-                            "exits 1 if any check fails")
-    q.add_argument("--N", type=int, default=10**6, help="summation limit (default 10^6)")
-    q.add_argument("--prime-cutoff", type=int, default=10**5)
-    return p
+# command -> (help, {option: (int | float | str | choices, default, help)});
+# a default of ... marks a required option.  Only the commands that build
+# tables take a budget.
+_INT = (int, ..., "")
+_OUTPUT = {"output": (("plain", "json", "csv"), "plain", "report format")}
+_BUDGETED = {**_OUTPUT, "memory-budget": (int, None, "cap on table memory in bytes "
+                                          "(default COHENRAM_MEMORY_BUDGET or unlimited)")}
+_COMMANDS = {
+    "sum": ("evaluate c_r^s(n) at r >= 1, s >= 1, n >= 0", {
+        **dict.fromkeys("rsn", _INT), "evaluator": (
+            ("multiplicative", "divisor-sum", "direct"), "multiplicative",
+            "multiplicative, divisor-sum oracle, or literal direct sum (r^s <= 10^7)"),
+        **_OUTPUT}),
+    "jordan": ("evaluate J_k(n) at k >= 1, n >= 1", {**dict.fromkeys("kn", _INT), **_OUTPUT}),
+    "gcd-s": ("generalized gcd (m, n)_s, the largest l^s dividing both",
+              {**dict.fromkeys("mns", _INT), **_OUTPUT}),
+    "expansion": ("partial sums to Q of sum_q mu(q) c_q^s(n^s)/J_{s+k}(q) "
+                  "vs zeta(s+k) J_k(n)/n^k", {**dict.fromkeys("sknQ", _INT), **_BUDGETED}),
+    "local-check": ("exact rational Euler-factor identity over a prime set", {
+        **dict.fromkeys("skn", _INT), "primes": (
+            str, ..., "comma-separated primes, e.g. 2,3,5 (empty string for none)"),
+        **_OUTPUT}),
+    "sivaramakrishnan": ("k-vector variant partial sums (evidence grade, small R)", {
+        **dict.fromkeys("skn", _INT), "R": (int, ..., "cutoff; needs the sum of r^s over "
+                                            "squarefree r <= R to be <= 10^7 "
+                                            "(R <= 5737, 370, 88 at s = 1, 2, 3)"),
+        **_OUTPUT}),
+    "asymptotic": ("shifted-convolution sum to N at shift h >= 1 vs truncated Euler product", {
+        **dict.fromkeys("sabhN", _INT), "prime-cutoff": (int, 10**5, ""),
+        "tolerance": (float, 0.02, "largest accepted |ratio - 1|"),
+        "emit-plot-data": (str, None, "also write ratio-vs-N to this path as two "
+                                      "whitespace-separated columns"), **_BUDGETED}),
+    "main-term": ("generic main-term series with the Jordan-ratio coefficients, compared "
+                  "to the Euler product", {**dict.fromkeys("sabh", _INT), "R": (
+                      int, ..., "series cutoff, and also the prime cutoff of the Euler "
+                      "product it is compared to"), **_BUDGETED}),
+    "repro-all": ("one-command reproduction: the full exact local-factor grid plus the "
+                  "default shifted-convolution verification; exits 1 if any check fails",
+                  {"N": (int, 10**6, "summation limit"), "prime-cutoff": (int, 10**5, ""),
+                   **_BUDGETED}),
+}
 
 
 def parse_config(argv=None) -> RunConfig:
-    ns = vars(_build_parser().parse_args(argv))
-    command, output = ns.pop("command"), ns.pop("output")
-    takes_budget = "memory_budget" in ns  # only the commands that build tables
-    budget = ns.pop("memory_budget", None)
-    source = "--memory-budget"
-    if budget is None and takes_budget:
+    """Read one command and its options, ``--opt value`` or ``--opt=value``
+    spelled in full, from argv (default sys.argv[1:]).  The last occurrence
+    wins; a value may be negative or empty.  ``-h``/``--help`` prints the
+    help and raises SystemExit(0); a usage error raises ValueError."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    if args[:1] in (["-h"], ["--help"]):
+        raise SystemExit(dispatch(RunConfig("help")))
+    if not args or args[0] not in _COMMANDS:
+        raise ValueError(f"expected one of the commands {', '.join(_COMMANDS)}")
+    command, options, given = args[0], _COMMANDS[args[0]][1], {}
+    tokens = iter(args[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise SystemExit(dispatch(RunConfig("help", {"command": command})))
+        option, eq, raw = token.partition("=")
+        if not option.startswith("--") or option[2:] not in options:
+            raise ValueError(f"unrecognized argument for {command}: {token!r}")
+        if not eq:
+            raw = next(tokens, None)
+            # a negative number is a value; any other token starting with '-' is not
+            if raw is None or raw.startswith("-") and not re.fullmatch(r"-\d+|-\d*\.\d+", raw):
+                raise ValueError(f"argument {option}: expected one value")
+        kind = options[option[2:]][0]
+        try:  # tuple.index refuses a value that is not one of the choices
+            given[option[2:]] = kind[kind.index(raw)] if isinstance(kind, tuple) else kind(raw)
+        except ValueError:
+            want = f"one of {', '.join(kind)}" if isinstance(kind, tuple) else kind.__name__
+            raise ValueError(f"argument {option}: expected {want}, got {raw!r}") from None
+    missing = ", ".join(f"--{n}" for n, o in options.items() if o[1] is ... and n not in given)
+    if missing:
+        raise ValueError(f"the following arguments are required: {missing}")
+    params = {name.replace("-", "_"): given.get(name, spec[1])
+              for name, spec in options.items()}
+    output, source = params.pop("output"), "--memory-budget"
+    budget = params.pop("memory_budget", None)
+    if budget is None and "memory-budget" in options:  # only the commands that build tables
         source = "COHENRAM_MEMORY_BUDGET"
         raw = os.environ.get(source, "")
         try:
@@ -173,7 +153,7 @@ def parse_config(argv=None) -> RunConfig:
             raise ValueError(f"{source} must be an integer, got {raw!r}") from None
     if budget is not None and budget < 1:
         raise ValueError(f"{source} must be >= 1, got {budget}")
-    return RunConfig(command, ns, output, budget)
+    return RunConfig(command, params, output, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +205,25 @@ def _asymptotic_report(report) -> Report:
 
 # ---------------------------------------------------------------------------
 # command handlers
+
+def _run_help(config: RunConfig) -> Report:
+    """The help the option table renders, for one command or for all."""
+    command = config.params.get("command")
+    lines = [f"usage: cohenram {command or 'COMMAND'} [--OPTION VALUE | --OPTION=VALUE ...]", ""]
+    if command is None:
+        lines += ["Cohen-Ramanujan sums, Jordan totients, and verification of their "
+                  "expansion and shifted-convolution identities.", "", "commands:",
+                  *(f"  {name:<17} {text}" for name, (text, _) in _COMMANDS.items()),
+                  "", "run 'cohenram COMMAND --help' for its options"]
+    else:
+        text, options = _COMMANDS[command]
+        lines += [text, "", "options (spelled in full):"]
+        for name, (kind, default, about) in options.items():
+            meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+            note = {None: "", ...: "(required)"}.get(default, f"(default {default})")
+            lines.append(" ".join(filter(None, (f"  --{name} {meta}", about, note))))
+    return Report({}, [], lines)
+
 
 def _run_sum(config: RunConfig) -> Report:
     p = config.params
@@ -349,6 +348,7 @@ def _run_repro_all(config: RunConfig) -> Report:
 
 
 _HANDLERS = {
+    "help": _run_help,
     "sum": _run_sum,
     "jordan": _run_jordan,
     "gcd-s": _run_gcd_s,

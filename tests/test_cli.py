@@ -228,12 +228,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     for argv in sys.argv[1:]:
         assert cli.main(argv.split()) == 0, argv
 print(*sorted(m for m in set(sys.modules) - before if m.partition(".")[0] == "numpy"))
+print(*sorted({"argparse", "gettext", "locale"} & set(sys.modules)))
 """
 
 
 def test_cold_commands_import_no_numpy_submodule():
     # a numpy function that imports a submodule on its first call (np.unique
-    # imports numpy.ma) puts that import inside every cold command-line run
+    # imports numpy.ma) puts that import inside every cold command-line run;
+    # so would argparse, which loads gettext and, on first use, locale
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -242,7 +244,7 @@ def test_cold_commands_import_no_numpy_submodule():
              "main-term --s 2 --a 3 --b 4 --h 12 --R 10000"]
     proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, *argvs],
                           capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.split() == []
+    assert proc.stdout.splitlines() == ["", ""]
 
 
 def test_asymptotic_budget_covers_the_euler_product(capsys):
@@ -275,7 +277,6 @@ def test_parser_is_built_once_and_keeps_no_state():
     assert (first.params["prime_cutoff"], first.output) == (1000, "json")
     again = cli.parse_config(argv)
     assert (again.params["prime_cutoff"], again.output) == (10**5, "plain")
-    assert cli._build_parser() is cli._build_parser()
 
 
 def test_main_term(capsys):
@@ -357,6 +358,34 @@ def test_help_lists_every_command(capsys):
                 "sivaramakrishnan", "asymptotic", "main-term", "repro-all"):
         assert cmd in out
     assert "sieve" not in out  # the cache subcommand is gone
+    # after a command, also past its options, the help is the command's
+    for argv in (["sum", "-h"], ["asymptotic", "--s", "2", "--help", "--bogus"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: cohenram {argv[0]} ")
+        assert all(f"--{name} " in out for name in cli._COMMANDS[argv[0]][1])
+
+
+@pytest.mark.parametrize("command, options", [
+    ("sum", "r s n evaluator output"),
+    ("jordan", "k n output"),
+    ("gcd-s", "m n s output"),
+    ("expansion", "s k n Q output memory-budget"),
+    ("local-check", "s k n primes output"),
+    ("sivaramakrishnan", "s k n R output"),
+    ("asymptotic", "s a b h N prime-cutoff tolerance emit-plot-data output memory-budget"),
+    ("main-term", "s a b h R output memory-budget"),
+    ("repro-all", "N prime-cutoff output memory-budget"),
+])
+def test_command_help_names_every_option(capsys, command, options):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    listed = [line.split()[0] for line in out.splitlines() if line.startswith("  --")]
+    assert err == "" and listed == [f"--{name}" for name in options.split()]
 
 
 def test_module_entry_point():
