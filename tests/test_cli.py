@@ -363,9 +363,7 @@ def test_help_lists_every_command(capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert out.startswith(f"usage: cohenram {argv[0]} ")
-        assert all(f"--{name} " in out for name in cli._COMMANDS[argv[0]][1])
+        assert capsys.readouterr().out.startswith(f"usage: cohenram {argv[0]} ")
 
 
 @pytest.mark.parametrize("command, options", [
