@@ -346,6 +346,9 @@ def zeta_upper_bound(z: int, cutoff: int = 100) -> Fraction:
 # multiplicative tables
 
 _BLOCK = 1 << 16  # entries per block of a table build
+# entries of a table, or of its prime sieve, refused with no budget set:
+# above every window _SIEVE_WORK_LIMIT admits at a, b <= 4 (N <= 4.22e8)
+_TABLE_LIMIT = 1 << 29
 _GROUP = 1 << 14  # (m, P) pairs per scatter group of a table build's large primes
 
 
@@ -369,9 +372,13 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     are identical run to run; dtype=object keeps exact Python ints.
     Every prime above cap (default limit) must have the factor 1 at
     every power: it is not visited.  local is called once per visited
-    prime and power.  Peak memory is _table_bytes.
+    prime and power.  Peak memory is _table_bytes.  A window or a prime
+    sieve of more than _TABLE_LIMIT = 2^29 entries is refused first.
     """
     cap = limit if cap is None else cap
+    if max(limit - lo, cap) >= _TABLE_LIMIT:
+        raise ValueError(f"a table over [{lo}, {limit}] with primes to {cap} "
+                         f"exceeds the 2^29-entry table guard")
     out = np.empty(limit - lo + 1, dtype=dtype)
     primes = primes_upto(cap)
     n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))

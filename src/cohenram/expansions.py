@@ -48,6 +48,7 @@ __all__ = [
 ]
 
 _NS_LIMIT = 2**63
+_LATTICE_PRIMES = 10  # distinct primes in one divisor lattice: 1,024 divisors
 
 
 @dataclass(frozen=True)
@@ -164,16 +165,27 @@ def _divisor_lattice(pset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 # so a float s + k never reads an int row
 @lru_cache(maxsize=5 * 64, typed=True)
 def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
-    """(qs, mu(q) J_sk(Q_P/q) for each q in qs, J_sk(Q_P), the index of
-    each p of pset in qs, J_sk(p) for each p, and their product):
-    everything in local_factor_exact that does not depend on n.  J_sk is
-    read at every complement, composite ones included.  The i-th prime
-    of pset sits at index 2^i of the divisor lattice."""
-    qs, mus, complements = _divisor_lattice(pset)
+    """(mu(q) J_sk(Q_P/q) for each q | Q_P in _divisor_lattice order,
+    J_sk(Q_P), J_sk(p) for each p of pset, and their product): everything
+    in local_factor_exact that does not depend on n.  J_sk is read at
+    every complement, composite ones included."""
+    _, mus, complements = _divisor_lattice(pset)
     weights = tuple(mu * jordan(sk, c) for mu, c in zip(mus, complements))
     jp = tuple(jordan(sk, p) for p in pset)
-    return (qs, weights, jordan(sk, complements[0]), tuple(1 << i for i in range(len(pset))),
-            jp, math.prod(jp))
+    return weights, jordan(sk, complements[0]), jp, math.prod(jp)
+
+
+# one k-sweep of the repro-all grid, which visits s, then k, then n, then
+# P: 30 values of n times 64 prime sets; typed, as _jordan_row
+@lru_cache(maxsize=1 << 11, typed=True)
+def _crs_row(s: int, ns: int, pset: tuple[int, ...]) -> tuple:
+    """(c_q^s(ns) for each q | Q_P in _divisor_lattice order, and the
+    entries at the primes of pset): everything in local_factor_exact that
+    depends on n but not on k.  crs_fast is evaluated at every q,
+    composite ones included.  The i-th prime of pset sits at index 2^i
+    of the divisor lattice."""
+    crs = tuple(map(crs_fast, _divisor_lattice(pset)[0], repeat(s), repeat(ns)))
+    return crs, tuple(crs[1 << i] for i in range(len(pset)))
 
 
 def local_factor_exact(s: int, k: int, n: int,
@@ -195,16 +207,25 @@ def local_factor_exact(s: int, k: int, n: int,
     equal, one normalised Fraction is built and returned as both sides;
     otherwise each side gets its own.
 
-    What depends only on P is cached: the divisors q of Q_P with mu(q)
-    and Q_P/q (_divisor_lattice, 64 sets), and the weights
+    What does not depend on n is cached: the divisors q of Q_P with
+    mu(q) and Q_P/q (_divisor_lattice, 64 sets), and the weights
     mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P), each J_{s+k}(p) and their
-    product (_jordan_row, 320 pairs of s + k and P).  Both caches are
-    keyed by the sorted distinct primes, and every p is checked to be an
-    int before either is read: (2.0,) == (2,), so a float or bool "prime"
-    would otherwise be answered from its int twin's entry.
-    Each call evaluates crs_fast once at every q | Q_P, composite q
-    included, so the lhs is never derived from the per-prime factors of
-    the rhs; the rhs reads its prime values from the same evaluations.
+    product (_jordan_row, 320 pairs of s + k and P).  What does not
+    depend on k is cached too: c_q^s(n^s) at every q | Q_P, composite q
+    included, and its entries at the primes (_crs_row, 2,048 triples of
+    s, n^s and P), so crs_fast runs once per (s, n^s, P), not once per
+    call.  The lhs is never derived from the per-prime factors of the
+    rhs; the rhs reads its prime values from the same row.  Every cache
+    is keyed by the sorted distinct primes, and every p is checked to be
+    an int before any is read: (2.0,) == (2,), so a float or bool
+    "prime" would otherwise be answered from its int twin's entry.
+
+    P may hold at most 10 distinct primes (1,024 divisors) with a
+    product Q_P < 2^63; anything larger is refused before a lattice is
+    built.  A row then holds at most 1,024 ints, each |c_q^s(n^s)| <= n^s
+    < 2^63 since q is squarefree, so the full row cache is at most
+    2,048 rows x 1,024 entries, about 92 MB; the repro-all grid fills
+    1,920 rows of at most 64 entries.
     """
     if min(s, k, n) < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
@@ -212,13 +233,20 @@ def local_factor_exact(s: int, k: int, n: int,
     for p in pset:
         if type(p) is not int:
             raise ValueError(f"primes must be ints, got {type(p).__name__} {p!r}")
-    qs, weights, jqp, at_p, jp, jp_prod = _jordan_row(s + k, pset)
+    if len(pset) > _LATTICE_PRIMES:
+        raise ValueError(f"{len(pset)} distinct primes exceed the lattice guard of "
+                         f"{_LATTICE_PRIMES} (2^{_LATTICE_PRIMES} divisors)")
+    qp = math.prod(pset)
+    if qp >= _NS_LIMIT:
+        raise ValueError(f"the product of the primes ({qp.bit_length()} bits) "
+                         "exceeds the 2^63 lattice guard")
+    weights, jqp, jp, jp_prod = _jordan_row(s + k, pset)
     ns = n**s
     if ns >= _NS_LIMIT:
         raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    crs = tuple(map(crs_fast, qs, repeat(s), repeat(ns)))
+    crs, crs_at_p = _crs_row(s, ns, pset)
     lhs_num = sum(map(mul, weights, crs))
-    rhs_num = math.prod(map(sub, jp, map(crs.__getitem__, at_p)))
+    rhs_num = math.prod(map(sub, jp, crs_at_p))
     lhs = Fraction(lhs_num, jqp)
     if lhs_num == rhs_num and jqp == jp_prod:
         return lhs, lhs

@@ -383,6 +383,23 @@ def test_cache_rejects_wide_entries():
         multiplicative_table(12, _jordan_local(40), np.int64)
 
 
+def test_table_guard_refuses_before_any_work():
+    # with no budget set, a window or a prime sieve of more than 2^29
+    # entries is refused before np.empty, primes_upto or local runs; a
+    # short far window with a small cap still builds
+    def local(p, e):
+        raise AssertionError(f"local called at {p}")
+
+    for limit, window in [(10**12, {}), (2**29, {}), (10**12 + 10, {"lo": 10**12}),
+                          (10, {"cap": 2**29}), (2**29 + 5, {"lo": 5, "cap": 10})]:
+        with pytest.raises(ValueError, match="2\\^29-entry table guard"):
+            multiplicative_table(limit, local, **window)
+    mu = multiplicative_table(10**12 + 10, lambda p, e: -1 if e == 1 else 0, np.int8,
+                              lo=10**12, cap=1000)
+    assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n).factors if p <= 1000))
+                           for n in range(10**12, 10**12 + 11)]
+
+
 # windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
 # entries from lo): whole tables from 0 and 1, a last block of a single
 # entry, windows crossing block boundaries with lo one below and one

@@ -25,7 +25,7 @@ from cohenram.asymptotics import (
 from cohenram import asymptotics
 from cohenram.asymptotics import (
     _CHUNK, _chunk_sum, _crs_table, _factor_cap, _lhs_windows, _ratio_array)
-from cohenram.arith import InternalAssertionError, MemoryBudgetError
+from cohenram.arith import _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
 
 
 def naive_lhs(a, b, h, N):
@@ -107,6 +107,24 @@ def test_lhs_huge_shift():
     # a sum past the sieving-work limit is refused before any table is built
     with pytest.raises(ValueError, match="sieving steps"):
         lhs_sum(AsymptoticQuery(2, 3, 4, 12, 10**9))
+
+
+@pytest.mark.parametrize("a, b", [(3, 3), (3, 4), (4, 4)])
+@pytest.mark.parametrize("h", [1, 12, 10**6, 10**12])
+def test_table_guard_admits_what_the_sieve_guard_admits(a, b, h):
+    # at a, b in {3, 4} the sieving-work limit refuses every N whose
+    # windows reach _TABLE_LIMIT entries (the work grows with N), so the
+    # table guard never refuses an N that limit admits there
+    def longest(N):
+        return max(hi - lo + 1 for _, lo, hi in _lhs_windows(a, b, h, N))
+
+    lo, hi = 1, _TABLE_LIMIT
+    while lo < hi:  # the least N with a window of _TABLE_LIMIT entries
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if longest(mid) < _TABLE_LIMIT else (lo, mid)
+    assert longest(lo) >= _TABLE_LIMIT > longest(lo - 1)
+    with pytest.raises(ValueError, match="sieving steps"):
+        lhs_sum(AsymptoticQuery(2, a, b, h, lo))
 
 
 def test_lhs_memory_budget():

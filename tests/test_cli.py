@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -8,7 +9,7 @@ import time
 import pytest
 
 from cohenram import cli
-from cohenram.arith import jordan
+from cohenram.arith import jordan, primes_upto
 from cohenram.asymptotics import AsymptoticQuery, asymptotic_verify
 from cohenram.cohen import RoundingAssertionError
 from cohenram.expansions import ExpansionQuery, expansion_partial_sum
@@ -218,6 +219,33 @@ def test_table_charge_covers_the_traced_peak(argv):
     proc = subprocess.run([sys.executable, "-c", _CHARGE_SCRIPT, *argv],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.split()[0] == "refused", proc.stdout
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+# with no budget set: a divisor lattice over 17 and over 25 primes, and
+# tables of 10^12 entries, each refused in one line before the work;
+# run under a 1 GiB address-space limit, where the work would fail
+@pytest.mark.parametrize("argv", [
+    ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
+     ",".join(map(str, primes_upto(59).tolist()))),
+    ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
+     ",".join(map(str, primes_upto(100).tolist()))),
+    ("expansion", "--s", "2", "--k", "1", "--n", "2", "--Q", str(10**12)),
+    ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**12)),
+])
+def test_oversized_inputs_are_refused_in_one_line(argv):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("COHENRAM_MEMORY_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-m", "cohenram", *argv], capture_output=True,
+                          text=True, env=env, timeout=5, preexec_fn=_limit_address_space)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert "guard" in proc.stderr
 
 
 _IMPORTS_SCRIPT = """

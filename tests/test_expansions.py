@@ -157,6 +157,7 @@ def test_local_factor_exact_matches_manual_sum():
 
 
 def _clear_local_factor_caches():
+    expansions._crs_row.cache_clear()
     expansions._jordan_row.cache_clear()
     expansions._divisor_lattice.cache_clear()
 
@@ -164,8 +165,7 @@ def _clear_local_factor_caches():
 def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
     # the lhs reads crs_fast at every q | Q_P and jordan at every Q_P/q,
     # composite ones included, so it is never built from the rhs factors;
-    # a warm call takes the jordan weights from the cache but evaluates
-    # crs_fast at every q again
+    # a warm call reads both from the cached rows and evaluates neither
     seen_crs, seen_jordan = set(), set()
 
     def spy_crs(r, s, n):
@@ -190,8 +190,64 @@ def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
     seen_crs.clear()
     seen_jordan.clear()
     assert local_factor_exact(2, 3, 12, pset) == (lhs, rhs)
-    assert seen_crs == divisors_qp
+    assert seen_crs == set()
     assert seen_jordan == set()
+
+
+def test_local_factor_exact_shares_the_crs_row_across_k(monkeypatch):
+    # c_q^s(n^s) does not depend on k: after a cold start, k = 1, 2, 3 at
+    # one (s, n, P) evaluate crs_fast once at each q | Q_P in all
+    seen = []
+
+    def spy_crs(r, s, n):
+        seen.append(r)
+        return crs_fast(r, s, n)
+
+    _clear_local_factor_caches()
+    monkeypatch.setattr(expansions, "crs_fast", spy_crs)
+    s, n, pset = 2, 12, (2, 3, 5, 7)
+    for k in (1, 2, 3):
+        want = math.prod(local_factor_cases(s, k, p, n) for p in pset)
+        assert local_factor_exact(s, k, n, pset) == (want, want)
+    assert sorted(seen) == sorted(math.prod(sub) for size in range(5)
+                                  for sub in combinations(pset, size))
+
+
+def test_local_factor_exact_rhs_is_the_closed_form_over_the_grid():
+    # a row read under the wrong (s, n^s, P) key keeps lhs == rhs, which is
+    # all criterion 1 checks; run the repro-all grid in its own order, so
+    # that rows are hit, and hold every rhs to the closed-form product
+    _clear_local_factor_caches()
+    primes = (2, 3, 5, 7, 11, 13)
+    factor = {(s, k, p, n): local_factor_cases(s, k, p, n)
+              for s in (1, 2, 3) for k in (1, 2, 3) for p in primes for n in range(1, 31)}
+    cases = 0
+    for s in (1, 2, 3):
+        for k in (1, 2, 3):
+            for n in range(1, 31):
+                for size in range(len(primes) + 1):
+                    for subset in combinations(primes, size):
+                        want = math.prod((factor[s, k, p, n] for p in subset),
+                                         start=Fraction(1))
+                        assert local_factor_exact(s, k, n, subset)[1] == want, (s, k, n, subset)
+                        cases += 1
+    assert cases == 17280
+    assert expansions._crs_row.cache_info().hits > 0
+
+
+def test_local_factor_exact_bounds_the_lattice():
+    # more than 10 distinct primes, or a product Q_P >= 2^63, is refused
+    # before any lattice or row is built; 10 primes still run
+    _clear_local_factor_caches()
+    first = primes_upto(100).tolist()
+    with pytest.raises(ValueError, match="lattice guard of 10"):
+        local_factor_exact(1, 1, 1, first[:11])
+    with pytest.raises(ValueError, match="2\\^63 lattice guard"):
+        local_factor_exact(1, 1, 1, [2**61 - 1, 5])
+    for cache in (expansions._divisor_lattice, expansions._jordan_row, expansions._crs_row):
+        assert cache.cache_info().currsize == 0
+    lhs, rhs = local_factor_exact(1, 1, 2, first[:10])
+    assert lhs == rhs == math.prod(local_factor_cases(1, 1, p, 2) for p in first[:10])
 
 
 def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
@@ -216,6 +272,7 @@ def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
         return crs_fast(r, s, n) + (r == 6)
 
     monkeypatch.setattr(expansions, "crs_fast", wrong_at_6)
+    _clear_local_factor_caches()
     for s, k, n in cases:
         lhs, rhs = local_factor_exact(s, k, n, pset)
         assert lhs != rhs
