@@ -229,8 +229,8 @@ def _lhs_checkpoints_of(N: int) -> list[int]:
 
 def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     """lhs_sum's two windows with the bytes of their tables and of the
-    larger of one build's temporaries and the summation's buffers (the
-    products and _chunk_sum's hi and lo for one chunk, 24 bytes an
+    larger of one build's temporaries and the summation's buffer (the
+    products and _chunk_sum's bit patterns for one chunk, 16 bytes an
     entry, allocated once per call).
 
     Before any of that, the (block, sieving prime) steps of the builds,
@@ -251,39 +251,34 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
             f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
             f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
     tables = sum(8 * (hi - lo + 1) for _, lo, hi in windows)
-    temps = max(24 * min(_CHUNK, N), *(_table_bytes(hi, lo, _factor_cap(k, hi))
+    temps = max(16 * min(_CHUNK, N), *(_table_bytes(hi, lo, _factor_cap(k, hi))
                                        - 8 * (hi - lo + 1) for k, lo, hi in windows))
     return wa, wb, tables, temps
 
 
-def _chunk_sum(seg: np.ndarray, buffer: np.ndarray | None = None) -> float:
+def _chunk_sum(seg: np.ndarray, bits: np.ndarray | None = None) -> float:
     """The correctly rounded sum of at most _CHUNK float64 entries in
-    [1/2, 1], bit for bit math.fsum's, from two numpy sums (Dekker's
-    splitting, Numer. Math. 18, 1971).
+    [1/2, 1], bit for bit math.fsum's, from their IEEE bit patterns.
 
-    Every such entry is a multiple of 2^-53.  Rounding it to a multiple
-    of 2^-26 gives hi, and lo = entry - hi; both are exact, and
-    |lo| <= 2^-27.  Over at most 2^16 entries every partial sum of the
-    hi is at most 2^42 units of 2^-26, and every partial sum of the lo
-    at most 2^42 units of 2^-53, so both numpy sums are exact in any
-    order.  Adding the two is then a single rounding of the exact total.
-    An entry outside [1/2, 1], a NaN or a longer chunk voids the
-    argument and raises InternalAssertionError.  hi and lo are written to
-    the two rows of buffer, a float64 array of shape (2, >= seg.size);
-    without one they are allocated, 16 bytes an entry.
+    Such an entry x has the pattern of 1/2 (1022 << 52) plus some y in
+    [0, 2^52], and x = (2^52 + y) 2^-53 exactly, also at x = 1.0, where
+    y = 2^52.  One wrapping uint64 subtraction gives every y; any other
+    float64 (below 1/2, above 1, +-0, subnormal, infinite, NaN or
+    negative) wraps or lands above 2^52, so one max is the whole range
+    guard, and it or a longer chunk raises InternalAssertionError.  Runs
+    of 2^11 y's sum to at most 2^63, so no uint64 wraps, and the exact
+    total over 2^53 is one correctly rounded int division.  The y's are
+    written to bits, a uint64 array of >= seg.size entries; without one
+    it is allocated, 8 bytes an entry.  An empty chunk sums to 0.0.
     """
-    if seg.size > _CHUNK or not (seg.min() >= 0.5 and seg.max() <= 1.0):
+    n = seg.size
+    y = np.subtract(seg.view(np.uint64), 1022 << 52,
+                    out=np.empty(n, np.uint64) if bits is None else bits[:n])
+    if n > _CHUNK or y.max(initial=0) > 2**52:
         raise InternalAssertionError(
             f"an exact chunk sum needs at most {_CHUNK} summands in [1/2, 1], "
-            f"got {seg.size} in [{float(seg.min())!r}, {float(seg.max())!r}]")
-    if buffer is None:
-        buffer = np.empty((2, seg.size))
-    hi, lo = buffer[0, : seg.size], buffer[1, : seg.size]
-    np.multiply(seg, 2.0**26, out=hi)
-    np.rint(hi, out=hi)
-    hi *= 2.0**-26
-    np.subtract(seg, hi, out=lo)
-    return float(hi.sum()) + float(lo.sum())
+            f"got {n} in [{float(seg.min())!r}, {float(seg.max())!r}]")
+    return (sum(np.add.reduceat(y, np.arange(0, n, 2**11)).tolist()) + n * 2**52) / 2**53
 
 
 def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
@@ -297,7 +292,7 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     each distinct window plus the temporaries of one block build or of
     one summation chunk, whichever is larger (see _lhs_plan, which also
     refuses a huge shift first).  Each chunk of at most _CHUNK products
-    is formed in buffers allocated once per call, then summed exactly
+    is formed in one buffer allocated per call, then summed exactly
     and rounded once by _chunk_sum, which needs every product in
     [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so a, b >= 3 and
     every ratio is at least 1/zeta(3) > 0.83.  Each checkpoint is the
@@ -311,9 +306,9 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     rb = _ratio_array(*wb)
     shift = h - wb[1]  # n + h sits at index n + shift of rb
 
-    # the products and _chunk_sum's hi and lo, allocated once per call
-    size = min(_CHUNK, N)
-    prods, hilo = np.empty(size), np.empty((2, size))
+    # one buffer per call: the products, and _chunk_sum's bit patterns
+    buffer = np.empty((2, min(_CHUNK, N)), np.uint64)
+    prods, bits = buffer[0].view(np.float64), buffer[1]
     out = []
     chunk_sums: list[float] = []
     prev = 1
@@ -322,7 +317,7 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
             hi = min(mark + 1, lo + _CHUNK)
             seg = np.multiply(ra[lo:hi], rb[lo + shift : hi + shift],
                               out=prods[: hi - lo])
-            chunk_sums.append(_chunk_sum(seg, hilo))
+            chunk_sums.append(_chunk_sum(seg, bits))
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1
     return out

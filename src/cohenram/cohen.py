@@ -71,6 +71,13 @@ class CohenSumValue:
             raise ValueError(f"unknown evaluator tag {self.evaluator!r}")
 
 
+def _over_guard(r: int, s: int) -> bool:
+    """Whether r^s exceeds DIRECT_TERM_GUARD, decided from bit lengths
+    first, so that a huge s never builds r^s: r >= 2 and
+    s * (bit_length(r) - 1) >= 24 give r^s >= 2^24 > 10^7."""
+    return r >= 2 and (s * (r.bit_length() - 1) >= 24 or r**s > DIRECT_TERM_GUARD)
+
+
 def _round_assert(re: float, im: float, context: str) -> int:
     v = round(re)
     if abs(im) >= _ROUND_TOL or abs(re - v) >= _ROUND_TOL:
@@ -105,9 +112,9 @@ def crs_direct(r: int, s: int, n: int) -> int:
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
+    if _over_guard(r, s):
+        raise ValueError(f"crs_direct guard: r^s = {r}^{s} exceeds {DIRECT_TERM_GUARD}")
     m = r**s
-    if m > DIRECT_TERM_GUARD:
-        raise ValueError(f"crs_direct guard: r^s = {m} exceeds {DIRECT_TERM_GUARD}")
     h = _admissible(r, s)
     # reduce n*h mod r^s exactly before going to floats
     t = (n % m) * h % m
@@ -129,9 +136,9 @@ def crs_direct_spectrum(r: int, s: int) -> np.ndarray:
     """
     if r < 1 or s < 1:
         raise ValueError(f"need r >= 1, s >= 1, got r={r}, s={s}")
+    if _over_guard(r, s):
+        raise ValueError(f"crs_direct_spectrum guard: r^s = {r}^{s} exceeds {DIRECT_TERM_GUARD}")
     m = r**s
-    if m > DIRECT_TERM_GUARD:
-        raise ValueError(f"crs_direct_spectrum guard: r^s = {m} exceeds {DIRECT_TERM_GUARD}")
     indicator = np.zeros(m)
     indicator[_admissible(r, s) % m] = 1.0
     spec = np.conj(np.fft.fft(indicator))
@@ -228,9 +235,9 @@ def kvector_sum(k: int, n: int, r: int) -> int:
     """
     if k < 1 or r < 1:
         raise ValueError(f"need k >= 1, r >= 1, got k={k}, r={r}")
+    if _over_guard(r, k):
+        raise ValueError(f"kvector_sum guard: r^k = {r}^{k} exceeds {DIRECT_TERM_GUARD}")
     m = r**k
-    if m > DIRECT_TERM_GUARD:
-        raise ValueError(f"kvector_sum guard: r^k = {m} exceeds {DIRECT_TERM_GUARD}")
     step, nr = 2.0 * math.pi / r, n % r
     chunks = []
     for lo in range(0, m, _CHUNK):

@@ -36,7 +36,7 @@ from .arith import (
     multiplicative_table,
     zeta,
 )
-from .cohen import DIRECT_TERM_GUARD, crs_fast, kvector_sum
+from .cohen import DIRECT_TERM_GUARD, _over_guard, crs_fast, kvector_sum
 
 __all__ = [
     "ExpansionQuery",
@@ -286,7 +286,8 @@ def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
     for r in range(1, R + 1):
         mu = mobius(r)
         if mu:
-            tuples += r**s
+            # an r^s over the guard is refused without being built
+            tuples += DIRECT_TERM_GUARD + 1 if _over_guard(r, s) else r**s
             if tuples > DIRECT_TERM_GUARD:
                 raise ValueError(
                     f"k-vector enumeration to R = {R} exceeds the "

@@ -171,9 +171,9 @@ def _fsum_hex(seg):
 def test_chunk_sum_matches_fsum_on_every_lhs_chunk(monkeypatch):
     sizes = []
 
-    def checked(seg, buffer):
+    def checked(seg, bits):
         want = _fsum_hex(seg)
-        got = _chunk_sum(seg, buffer)
+        got = _chunk_sum(seg, bits)
         assert got.hex() == want
         sizes.append(seg.size)
         return got
@@ -188,7 +188,9 @@ def test_chunk_sum_matches_fsum_on_every_lhs_chunk(monkeypatch):
 def _edge_chunks():
     """Chunks at the edges of _chunk_sum's range; the first two have
     2^16 - 1 ones and one 1/2 + 2^-38 or 1/2 + 3 * 2^-38: the exact
-    totals lie halfway between floats 2^-37 apart, and ties go to even."""
+    totals lie halfway between floats 2^-37 apart, and ties go to even.
+    The third, 2^16 ones, makes every uint64 run of bit offsets sum to
+    2^11 * 2^52 = 2^63, the most a run may hold."""
     rng = np.random.default_rng(8)
     ones = np.ones(_CHUNK)
     down, up = ones.copy(), ones.copy()
@@ -208,24 +210,31 @@ def test_chunk_sum_matches_fsum_on_edge_chunks():
 
 
 def test_chunk_sum_into_a_buffer_matches_and_keeps_the_chunk():
-    # one buffer, wider than most chunks and holding the last chunk's
-    # hi and lo, as lhs_sum passes it
-    buffer = np.full((2, _CHUNK), np.nan)
+    # one uint64 buffer, wider than most chunks and holding the last
+    # chunk's bit offsets, as lhs_sum passes it
+    bits = np.full(_CHUNK, np.iinfo(np.uint64).max, np.uint64)
     for seg in _edge_chunks():
         before = seg.copy()
-        assert _chunk_sum(seg, buffer).hex() == _chunk_sum(seg).hex(), seg.size
+        assert _chunk_sum(seg, bits).hex() == _chunk_sum(seg).hex(), seg.size
         assert np.array_equal(seg, before), seg.size
 
 
-@pytest.mark.parametrize("bad", [0.4999, np.nextafter(1.0, 2.0), np.nan])
+def test_chunk_sum_of_an_empty_chunk_is_zero():
+    for bits in (None, np.empty(_CHUNK, np.uint64)):
+        got = _chunk_sum(np.empty(0), bits)
+        assert got.hex() == math.fsum([]).hex() == (0.0).hex()
+
+
+@pytest.mark.parametrize("bad", [0.4999, np.nextafter(1.0, 2.0), np.nan, -0.0, 0.0,
+                                 5e-324, np.inf, -np.inf, -0.75])
 def test_chunk_sum_refuses_summands_outside_its_range(bad):
     seg = np.full(100, 0.75)
     seg[37] = bad
-    for buffer in (None, np.empty((2, _CHUNK + 1))):
+    for bits in (None, np.empty(_CHUNK + 1, np.uint64)):
         with pytest.raises(InternalAssertionError, match="needs at most"):
-            _chunk_sum(seg, buffer)
+            _chunk_sum(seg, bits)
         with pytest.raises(InternalAssertionError, match="needs at most"):
-            _chunk_sum(np.ones(_CHUNK + 1), buffer)
+            _chunk_sum(np.ones(_CHUNK + 1), bits)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 import tracemalloc
 from itertools import product
 
@@ -312,6 +313,14 @@ def test_direct_term_guard():
         crs_direct_spectrum(100, 4)
     with pytest.raises(ValueError, match="guard"):
         kvector_sum(4, 1, 100)
+    # a huge exponent is refused from bit lengths, before r^s is built,
+    # and the message names r and s, not the power
+    start = time.perf_counter()
+    for call in (lambda: crs_direct(12, 10**8, 7), lambda: crs_direct_spectrum(2, 10**8),
+                 lambda: kvector_sum(10**8, 1, 2)):
+        with pytest.raises(ValueError, match=r"guard: r\^[sk] = \d+\^100000000 exceeds"):
+            call()
+    assert time.perf_counter() - start < 0.25
 
 
 def test_evaluate_tags_and_dispatch():

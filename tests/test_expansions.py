@@ -361,3 +361,8 @@ def test_sivaramakrishnan_guard():
     with pytest.raises(ValueError, match="guard"):
         sivaramakrishnan_check(2, 1, 2, 3162)
     assert time.perf_counter() - start < 1.0
+    # 2^(10^8) alone is over the guard, and is refused without being built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="guard at r = 2"):
+        sivaramakrishnan_check(10**8, 1, 2, 2)
+    assert time.perf_counter() - start < 0.25
