@@ -13,6 +13,7 @@ from cohenram.cohen import (
     CohenSumValue,
     DIRECT_TERM_GUARD,
     _admissible,
+    _over_guard,
     crs_direct,
     crs_direct_spectrum,
     crs_divisor_sum,
@@ -321,6 +322,13 @@ def test_direct_term_guard():
         with pytest.raises(ValueError, match=r"guard: r\^[sk] = \d+\^100000000 exceeds"):
             call()
     assert time.perf_counter() - start < 0.25
+
+
+def test_guard_shortcut_agrees_with_the_power():
+    # s * (bit_length(r) - 1) >= 24 refuses without r^s; 2^23 < 10^7 < 2^24
+    for r in range(1, 400):
+        for s in range(1, 40):
+            assert _over_guard(r, s) == (r**s > DIRECT_TERM_GUARD), (r, s)
 
 
 def test_evaluate_tags_and_dispatch():
