@@ -39,7 +39,7 @@ for R in (10, 100, 1000):
     series = general_main_term(fa[: R + 1], fb[: R + 1], s, h)
     print(f"   R={R:>5}: series = {series:.12f}   product = {prod.value:.12f}"
           f"   |diff| = {abs(series - prod.value):.2e}")
-print(f"   product tail bound beyond P={prod.spec.prime_cutoff}: {prod.tail_bound:.2e}")
+print(f"   product tail bound beyond P={prod.prime_cutoff}: {prod.tail_bound:.2e}")
 print()
 
 print(f"h = {h} decomposes as m^s * k with m={prod.m}, k={prod.k}")

@@ -49,7 +49,6 @@ from .asymptotics import (
     AsymptoticQuery,
     AsymptoticReport,
     EulerProductResult,
-    EulerProductSpec,
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
@@ -70,9 +69,8 @@ __all__ = [
     "crs_of_shift", "kvector_sum", "shift_decompose", "evaluate",
     "ExpansionQuery", "ExpansionReport", "expansion_partial_sum",
     "local_factor_exact", "local_factor_cases", "sivaramakrishnan_check",
-    "AsymptoticQuery", "AsymptoticReport", "EulerProductSpec",
-    "EulerProductResult", "lhs_sum", "rhs_product", "joint_density_product",
-    "asymptotic_verify",
+    "AsymptoticQuery", "AsymptoticReport", "EulerProductResult",
+    "lhs_sum", "rhs_product", "joint_density_product", "asymptotic_verify",
     "general_main_term", "expansion_coefficients",
     "__version__",
 ]

@@ -236,6 +236,20 @@ def divisors(n) -> list[int]:
 # ---------------------------------------------------------------------------
 # scalar arithmetic functions
 
+# the largest r^s the exact c_r^s evaluators and jordan build: 14,284 bits,
+# within Python's 4,300-digit int-to-str limit, since 2^14284 < 10^4300
+_EXACT_LIMIT = 2**14284 - 1
+
+
+def _over_guard(r: int, s: int, limit: int) -> bool:
+    """Whether r^s > limit for ints r, s >= 1, from bit lengths first, so a
+    huge s never builds r^s: with b = s * bit_length(r), 2^(b-s) <= r^s <
+    2^b, so b < L = bit_length(limit) answers no and b - s >= L answers
+    yes; only between is r^s, of fewer than 2L bits, built."""
+    b, L = s * r.bit_length(), limit.bit_length()
+    return b >= L and (b - s >= L or r**s > limit)
+
+
 def mobius(n) -> int:
     """Mobius mu: 1 at n=1, (-1)^omega(n) for squarefree n, else 0."""
     fi = _coerce(n)
@@ -253,10 +267,13 @@ def jordan(k: int, n) -> int:
     n is 1.  Memoized: the exact local-factor grid asks for the same few
     hundred values over and over.  The cache is typed, so jordan(2, True)
     still refuses the bool instead of returning the cached J_2(1).
+    An n^k over _EXACT_LIMIT is refused from bit lengths first.
     """
     if k < 1:
         raise ValueError(f"jordan requires k >= 1, got {k}")
     fi = _coerce(n)
+    if _over_guard(fi.value, k, _EXACT_LIMIT):  # J_k(n) < n^k
+        raise ValueError(f"jordan guard: n^k = {fi.value}^{k} has more than 14284 bits")
     v = 1
     for p, e in fi.factors:
         v *= p ** (k * e) - p ** (k * (e - 1))

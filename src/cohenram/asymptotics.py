@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain
 from operator import mul
 
@@ -51,11 +51,10 @@ from .arith import (
     primes_upto,
     zeta,
 )
-from .cohen import crs_fast, shift_decompose
+from .cohen import _crs_prime_power, crs_fast, shift_decompose
 
 __all__ = [
     "AsymptoticQuery",
-    "EulerProductSpec",
     "EulerProductResult",
     "AsymptoticReport",
     "lhs_sum",
@@ -106,23 +105,17 @@ class AsymptoticQuery:
 
 
 @dataclass(frozen=True)
-class EulerProductSpec:
-    """Per-prime local factor formulas and the cutoff they are taken to."""
-
-    prime_cutoff: int
-    dividing_factor: str
-    nondividing_factor: str
-
-
-@dataclass(frozen=True)
 class EulerProductResult:
-    """Truncated product value with a certified bound on the omitted tail."""
+    """Truncated product value with a certified bound on the omitted tail,
+    the cutoff it is taken to and its per-prime local factor formulas."""
 
     value: float
     tail_bound: float
     m: int
     k: int
-    spec: EulerProductSpec
+    prime_cutoff: int
+    dividing_factor: str
+    nondividing_factor: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,9 +123,9 @@ class EulerProductResult:
             "tail_bound": self.tail_bound,
             "m": self.m,
             "k": self.k,
-            "prime_cutoff": self.spec.prime_cutoff,
-            "dividing_factor": self.spec.dividing_factor,
-            "nondividing_factor": self.spec.nondividing_factor,
+            "prime_cutoff": self.prime_cutoff,
+            "dividing_factor": self.dividing_factor,
+            "nondividing_factor": self.nondividing_factor,
         }
 
 
@@ -324,28 +317,43 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
 
 
 def _product_bytes(c: int, P: int) -> int:
-    """Peak bytes of rhs_product with s + min(a, b) = c and the prime
-    cutoff P: the sieve's flags and int64 primes to _factor_cap(c, P),
-    where its loop stops, and the list of Python ints that loop reads
-    (an 8-byte slot and a 28-byte int per prime)."""
+    """Peak bytes of _euler_product(c, P, local): the sieve's flags and
+    int64 primes to _factor_cap(c, P), where its loop stops, and the
+    list of Python ints that loop reads (an 8-byte slot and a 28-byte
+    int per prime); local yields the factors one at a time."""
     cap = _factor_cap(c, P)
     return _primes_bytes(cap) + 36 * _prime_count_bound(cap)
+
+
+def _euler_product(c: int, P: int, local) -> tuple[float, float]:
+    """The product of local(primes), the factors at the primes to the
+    cutoff P, which local yields from one generator (no Python call per
+    prime), and a bound on the relative size of the omitted tail.  Each
+    caller shows that its factors are exactly 1.0 past _factor_cap(c, P),
+    where the loop stops, so the value is the product to P bit for bit,
+    and within 2 p^-c of 1 past P, c >= 2, so the tail is within
+    exp(2 P^(1-c)/(c-1)) - 1 of 1 by integral comparison.  A factor
+    outside (0, 2) raises InternalAssertionError."""
+    primes = primes_upto(_factor_cap(c, P)).tolist()
+    value = 1.0
+    for p, factor in zip(primes, local(primes)):
+        if not 0.0 < factor < 2.0:
+            raise InternalAssertionError(
+                f"local factor {factor!r} at p = {p} escapes (0, 2)")
+        value *= factor
+    return value, math.expm1(2.0 * P ** (1 - c) / (c - 1))
 
 
 def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
     """The truncated Euler product over primes up to the cutoff.
 
     The dividing-prime numerator is p^s - 1, which is the exact value
-    c_p^s(m^s) of the prime-level Cohen-Ramanujan sum.  The omitted tail
-    is bounded by exp(sum_{p > P} 2 p^-(s+min(a,b))) - 1 via integral
-    comparison, and reported alongside the value.
-
-    The loop stops at _factor_cap(s + min(a, b), P).  Past it both
-    factors of the base and the subtracted 1/p^(a+b+2s) round away, and
-    so does the added (p^s - 1)/p^(a+b+2s) < p^-(s+min(a,b)) at a
-    dividing prime, so every omitted factor is exactly 1.0 and the value
-    keeps every bit of the product to P.  The refusal of a prime of m
-    above P, the reported cutoff and the tail bound still use P.
+    c_p^s(m^s) of the prime-level Cohen-Ramanujan sum.  Every factor is
+    1 +- x with x <= 2 p^-(s+min(a,b)), so _euler_product takes it with
+    c = s + min(a, b): past _factor_cap(c, P) both factors of the base
+    and the subtracted 1/p^(a+b+2s) round away, and so does the added
+    (p^s - 1)/p^(a+b+2s) < p^-c at a dividing prime.  The refusal of a
+    prime of m above P, the reported cutoff and the tail bound use P.
     """
     s, a, b, P = query.s, query.a, query.b, query.prime_cutoff
     m, kfree = shift_decompose(query.h, s)
@@ -355,28 +363,14 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
             raise ValueError(
                 f"prime cutoff {P} is below {largest}, the largest prime of m = {m}")
 
-    spec = EulerProductSpec(
-        prime_cutoff=P,
-        dividing_factor=(f"(1 - p^-{s + a})*(1 - p^-{s + b})"
-                         f" + (p^{s} - 1)/p^{a + b + 2 * s}"),
-        nondividing_factor=(f"(1 - p^-{s + a})*(1 - p^-{s + b})"
-                            f" - 1/p^{a + b + 2 * s}"),
-    )
-    c = s + min(a, b)
-    value = 1.0
-    for p in primes_upto(_factor_cap(c, P)).tolist():
-        base = (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
-        if m % p == 0:
-            factor = base + (p**s - 1) / p ** (a + b + 2 * s)
-        else:
-            factor = base - 1.0 / p ** (a + b + 2 * s)
-        if not 0.0 < factor < 2.0:
-            raise InternalAssertionError(
-                f"local factor {factor!r} at p = {p} escapes (0, 2)")
-        value *= factor
-
-    tail_bound = math.expm1(2.0 * P ** (1 - c) / (c - 1))
-    return EulerProductResult(value, tail_bound, m, kfree, spec)
+    e = a + b + 2 * s
+    value, tail_bound = _euler_product(s + min(a, b), P, lambda primes: (
+        (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
+        + ((p**s - 1) / p**e if m % p == 0 else -1.0 / p**e) for p in primes))
+    return EulerProductResult(
+        value, tail_bound, m, kfree, P,
+        f"(1 - p^-{s + a})*(1 - p^-{s + b}) + (p^{s} - 1)/p^{e}",
+        f"(1 - p^-{s + a})*(1 - p^-{s + b}) - 1/p^{e}")
 
 
 def joint_density_product(query: AsymptoticQuery) -> EulerProductResult:
@@ -390,30 +384,17 @@ def joint_density_product(query: AsymptoticQuery) -> EulerProductResult:
     query's s plays no part; m = h and k = 1 are reported, the s = 1
     decomposition, because the dividing primes are those of h.
 
-    Every omitted factor, whether or not p divides h, lies in
-    [1 - 2 p^-(c+1), 1) with c = min(a, b), so the tail is bounded by
-    exp(sum_{p > P} 2 p^-(c+1)) - 1 <= exp(2 P^-c / c) - 1 via integral
-    comparison.  Primes of h above the cutoff are covered by this bound,
-    not refused.  The loop stops at _factor_cap(c + 1, P), past which
-    every factor is exactly 1.0, so the value is the product to P bit
-    for bit.
+    Every factor, whether or not p divides h, lies in [1 - 2 p^-c, 1)
+    with c = min(a, b) + 1, the c _euler_product takes, so its tail bound
+    covers the primes of h above the cutoff: they are not refused.
     """
     a, b, h, P = query.a, query.b, query.h, query.prime_cutoff
-    spec = EulerProductSpec(
-        prime_cutoff=P,
-        dividing_factor=f"1 - p^-{a + 1} - p^-{b + 1} + p^-{a + b + 1}",
-        nondividing_factor=f"1 - p^-{a + 1} - p^-{b + 1}",
-    )
-    c = min(a, b)
-    value = 1.0
-    for p in primes_upto(_factor_cap(c + 1, P)).tolist():
-        factor = 1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
-        if h % p == 0:
-            factor += 1.0 / p ** (a + b + 1)
-        value *= factor
-
-    tail_bound = math.expm1(2.0 * P ** -c / c)
-    return EulerProductResult(value, tail_bound, h, 1, spec)
+    value, tail_bound = _euler_product(min(a, b) + 1, P, lambda primes: (
+        1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
+        + (1.0 / p ** (a + b + 1) if h % p == 0 else 0.0) for p in primes))
+    return EulerProductResult(
+        value, tail_bound, h, 1, P, f"1 - p^-{a + 1} - p^-{b + 1} + p^-{a + b + 1}",
+        f"1 - p^-{a + 1} - p^-{b + 1}")
 
 
 def _verify_bytes(query: AsymptoticQuery) -> int:
@@ -430,6 +411,15 @@ def _verify_bytes(query: AsymptoticQuery) -> int:
     c = query.s + min(query.a, query.b)
     return (tables + max(temps, _product_bytes(c, query.prime_cutoff))
             + 3 * _CHECK_R * _ENTRY_BYTES + _CALL_BYTES)
+
+
+def _main_term_bytes(s: int, a: int, b: int, R: int) -> int:
+    """Peak bytes of the main-term comparison to R, all alive at once: the
+    coefficient tables, the c_r^s(h) table with 48 bytes per ~32-byte int,
+    the weights and their support, 80 bytes per term of the chunk fsum
+    reads, the product's primes to R and the call's small objects."""
+    return ((2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
+            + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
 
 
 def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
@@ -475,20 +465,11 @@ def _crs_table(R: int, s: int, h: int) -> np.ndarray:
     """c_r^s(h) for r = 0..R (entry 0 is 0) as exact Python ints in an
     object table, so a large h or s cannot wrap a fixed-width integer.
 
-    c_r^s(h) is multiplicative in r, and each prime power takes the rule
-    crs_fast applies in closed form: c_{p^e}^s(h) = p^(se) - p^(s(e-1))
-    if p^(se) | h, -p^(s(e-1)) if only p^(s(e-1)) | h, and 0 otherwise.
-    crs_fast itself is not called, so the table's one-off prime powers
-    leave its cache alone.
+    c_r^s(h) is multiplicative in r, and each prime power takes
+    _crs_prime_power, the rule crs_fast multiplies.  crs_fast itself is
+    not called, so the table's one-off prime powers leave its cache alone.
     """
-
-    def local(p: int, e: int) -> int:
-        below = p ** (s * (e - 1))
-        if h % below:
-            return 0
-        return below * (p**s - 1) if h % (below * p**s) == 0 else -below
-
-    return multiplicative_table(R, local, object)
+    return multiplicative_table(R, partial(_crs_prime_power, s, h), object)
 
 
 def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> float:

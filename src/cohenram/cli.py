@@ -22,15 +22,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from operator import ne
 
-from .arith import (
-    InternalAssertionError,
-    _CALL_BYTES,
-    _CHUNK,
-    _check_budget,
-    _table_bytes,
-    generalized_gcd,
-    jordan,
-)
+from .arith import InternalAssertionError, _check_budget, generalized_gcd, jordan
 from .cohen import CohenSumQuery, evaluate
 from .expansions import (
     ExpansionQuery,
@@ -41,7 +33,7 @@ from .expansions import (
 )
 from .asymptotics import (
     AsymptoticQuery,
-    _product_bytes,
+    _main_term_bytes,
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
@@ -196,7 +188,7 @@ def _asymptotic_report(report) -> Report:
          *([n, v, n * report.rhs.value, rho] for n, v, rho in points)],
         [f"h = {report.query.h} = m^s * k with m={report.m}, k={report.k} "
          f"(s={report.query.s})",
-         f"rhs product      {report.rhs.value!r} (P={report.rhs.spec.prime_cutoff}, "
+         f"rhs product      {report.rhs.value!r} (P={report.rhs.prime_cutoff}, "
          f"tail bound {report.rhs.tail_bound!r})",
          *(f"N={n:<9} lhs={v!r}  ratio={rho!r}" for n, v, rho in points),
          f"converged        {report.converged} (tolerance {report.tolerance!r})",
@@ -298,13 +290,8 @@ def _run_asymptotic(config: RunConfig) -> Report:
 def _run_main_term(config: RunConfig) -> Report:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
-    # alive at once: the coefficient tables, the exact-int c_r^s(h) table,
-    # 48 bytes per r for its ~32-byte ints, the weights and their support,
-    # 80 bytes per term of the one chunk fsum reads, the product's primes
-    # and the call's small objects
-    need = ((2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
-            + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
-    _check_budget(f"main-term tables to R = {R}", need, config.memory_budget)
+    _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R),
+                  config.memory_budget)
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
     series = general_main_term(fa, fb, s, h)

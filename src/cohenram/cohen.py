@@ -19,7 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import _CHUNK, InternalAssertionError, factorize, divisors, mobius
+from .arith import (
+    _CHUNK, _EXACT_LIMIT, InternalAssertionError, _over_guard, divisors, factorize, mobius)
 
 __all__ = [
     "CohenSumQuery",
@@ -71,13 +72,6 @@ class CohenSumValue:
             raise ValueError(f"unknown evaluator tag {self.evaluator!r}")
 
 
-def _over_guard(r: int, s: int) -> bool:
-    """Whether r^s exceeds DIRECT_TERM_GUARD, decided from bit lengths
-    first, so that a huge s never builds r^s: r >= 2 and
-    s * (bit_length(r) - 1) >= 24 give r^s >= 2^24 > 10^7."""
-    return r >= 2 and (s * (r.bit_length() - 1) >= 24 or r**s > DIRECT_TERM_GUARD)
-
-
 def _round_assert(re: float, im: float, context: str) -> int:
     v = round(re)
     if abs(im) >= _ROUND_TOL or abs(re - v) >= _ROUND_TOL:
@@ -112,7 +106,7 @@ def crs_direct(r: int, s: int, n: int) -> int:
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
-    if _over_guard(r, s):
+    if _over_guard(r, s, DIRECT_TERM_GUARD):
         raise ValueError(f"crs_direct guard: r^s = {r}^{s} exceeds {DIRECT_TERM_GUARD}")
     m = r**s
     h = _admissible(r, s)
@@ -136,7 +130,7 @@ def crs_direct_spectrum(r: int, s: int) -> np.ndarray:
     """
     if r < 1 or s < 1:
         raise ValueError(f"need r >= 1, s >= 1, got r={r}, s={s}")
-    if _over_guard(r, s):
+    if _over_guard(r, s, DIRECT_TERM_GUARD):
         raise ValueError(f"crs_direct_spectrum guard: r^s = {r}^{s} exceeds {DIRECT_TERM_GUARD}")
     m = r**s
     indicator = np.zeros(m)
@@ -154,43 +148,57 @@ def crs_direct_spectrum(r: int, s: int) -> np.ndarray:
 def crs_divisor_sum(r: int, s: int, n: int) -> int:
     """c_r^s(n) as sum over d | r with d^s | n of d^s * mu(r/d).
 
-    Exact integers throughout; the mid-speed oracle.
+    Exact integers throughout; the mid-speed oracle.  An r^s over
+    _EXACT_LIMIT (14,284 bits) is refused from bit lengths first.
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
+    divs = divisors(r)  # refuses an r that is not an int
+    if _over_guard(r, s, _EXACT_LIMIT):
+        raise ValueError(f"crs_divisor_sum guard: r^s = {r}^{s} has more than 14284 bits")
     total = 0
-    for d in divisors(r):
+    for d in divs:
         ds = d**s
         if n % ds == 0:  # n == 0 passes for every d, as it should
             total += ds * mobius(r // d)
     return total
 
 
-@lru_cache(maxsize=1 << 13, typed=True)
-def crs_fast(r: int, s: int, n: int) -> int:
-    """c_r^s(n) via multiplicativity in r and the prime-power rule:
+def _crs_prime_power(s: int, n: int, p: int, e: int) -> int:
+    """c_{p^e}^s(n) by Cohen's prime-power rule:
 
     c_{p^e}^s(n) = p^(se) - p^(s(e-1))  if p^(se) | n,
                  = -p^(s(e-1))          if p^(s(e-1)) | n but p^(se) does not,
                  = 0                    otherwise.
+    """
+    ps = p**s
+    if e == 1:  # most r the evaluators meet are squarefree
+        return ps - 1 if n % ps == 0 else -1
+    below = ps ** (e - 1)
+    if n % below:
+        return 0
+    return below * (ps - 1) if n % (below * ps) == 0 else -below
+
+
+@lru_cache(maxsize=1 << 13, typed=True)
+def crs_fast(r: int, s: int, n: int) -> int:
+    """c_r^s(n) as the product over p^e || r of _crs_prime_power.
 
     This is the production evaluator.  The arguments are checked inline;
     building a CohenSumQuery on every call is a measurable share of the
     exact local-factor grid.  Memoized, since that grid repeats a few
     thousand (q, s, n^s) keys; the cache is typed, so a bool or float r
-    is still refused rather than answered from an int key.
+    is still refused rather than answered from an int key.  An r^s over
+    _EXACT_LIMIT (14,284 bits) is refused from bit lengths first.
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
+    factors = factorize(r).factors  # refuses an r that is not an int
+    if _over_guard(r, s, _EXACT_LIMIT):
+        raise ValueError(f"crs_fast guard: r^s = {r}^{s} has more than 14284 bits")
     v = 1
-    for p, e in factorize(r).factors:
-        pse = p ** (s * e)
-        if n % pse == 0:
-            v *= pse - pse // p**s
-        elif n % (pse // p**s) == 0:
-            v *= -(pse // p**s)
-        else:
-            return 0
+    for p, e in factors:
+        v *= _crs_prime_power(s, n, p, e)
     return v
 
 
@@ -235,7 +243,7 @@ def kvector_sum(k: int, n: int, r: int) -> int:
     """
     if k < 1 or r < 1:
         raise ValueError(f"need k >= 1, r >= 1, got k={k}, r={r}")
-    if _over_guard(r, k):
+    if _over_guard(r, k, DIRECT_TERM_GUARD):
         raise ValueError(f"kvector_sum guard: r^k = {r}^{k} exceeds {DIRECT_TERM_GUARD}")
     m = r**k
     step, nr = 2.0 * math.pi / r, n % r
@@ -260,6 +268,7 @@ def evaluate(query: CohenSumQuery, evaluator: str = "multiplicative") -> CohenSu
     if fn is None:
         raise ValueError(f"unknown evaluator {evaluator!r}; pick one of {_EVALUATORS}")
     value = fn(query.r, query.s, query.n)
+    # every evaluator's guard has bounded r^s from bit lengths by now
     if abs(value) > query.r**query.s:
         raise InternalAssertionError(
             f"|c_r^s(n)| = {abs(value)} exceeds r^s for {query}")

@@ -28,6 +28,7 @@ from .arith import (
     _CHUNK,
     _ZETA_PRECISION,
     _check_budget,
+    _over_guard,
     _table_bytes,
     divisor_sigma,
     is_prime,
@@ -36,7 +37,7 @@ from .arith import (
     multiplicative_table,
     zeta,
 )
-from .cohen import DIRECT_TERM_GUARD, _over_guard, crs_fast, kvector_sum
+from .cohen import DIRECT_TERM_GUARD, crs_fast, kvector_sum
 
 __all__ = [
     "ExpansionQuery",
@@ -287,7 +288,7 @@ def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
         mu = mobius(r)
         if mu:
             # an r^s over the guard is refused without being built
-            tuples += DIRECT_TERM_GUARD + 1 if _over_guard(r, s) else r**s
+            tuples += DIRECT_TERM_GUARD + 1 if _over_guard(r, s, DIRECT_TERM_GUARD) else r**s
             if tuples > DIRECT_TERM_GUARD:
                 raise ValueError(
                     f"k-vector enumeration to R = {R} exceeds the "

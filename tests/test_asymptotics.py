@@ -24,7 +24,7 @@ from cohenram.asymptotics import (
 )
 from cohenram import asymptotics
 from cohenram.asymptotics import (
-    _CHUNK, _chunk_sum, _crs_table, _factor_cap, _lhs_windows, _ratio_array)
+    _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_windows, _ratio_array)
 from cohenram.arith import _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
 
 
@@ -334,8 +334,8 @@ def test_joint_density_matches_hand_written_product():
         want *= 1 - p**-5.0 - p**-4.0 + (p**-8.0 if 12 % p == 0 else 0.0)
     assert res.value == pytest.approx(want, rel=1e-14)
     assert (res.m, res.k) == (12, 1)
-    assert res.spec.dividing_factor == "1 - p^-5 - p^-4 + p^-8"
-    assert res.spec.nondividing_factor == "1 - p^-5 - p^-4"
+    assert res.dividing_factor == "1 - p^-5 - p^-4 + p^-8"
+    assert res.nondividing_factor == "1 - p^-5 - p^-4"
 
 
 def test_joint_density_does_not_depend_on_s():
@@ -391,7 +391,7 @@ def test_rhs_product_cap_keeps_every_bit(s, a, b):
             got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P))
             want = uncapped_rhs(s, a, b, got.m, P)
             assert got.value.hex() == want.hex(), (P, h)
-            assert got.spec.prime_cutoff == P
+            assert got.prime_cutoff == P
 
 
 # s = 2, a = 3, b = 4: the cap is the prime 1783, and these m have a
@@ -424,6 +424,45 @@ def test_products_take_exponents_whose_powers_overflow_a_float():
     assert joint_density_product(q).value.hex() == uncapped_joint_density(29, 29, 12, 4).hex()
     with pytest.raises(OverflowError):
         uncapped_rhs(2, 29, 29, 2, 10**5)
+
+
+# value.hex() and tail_bound.hex() recorded before both products shared
+# _euler_product: P = 1 (the empty product), P on either side of the cap
+# (1783 for P at (2, 3, 4), 11586 for C at a = 3, b = 4), and the prime
+# 97 of h above P for C
+@pytest.mark.parametrize("product, key, value, tail", [
+    (rhs_product, (2, 3, 4, 1, 1), '0x1.0000000000000p+0', '0x1.4c2531c3c0d38p-1'),
+    (rhs_product, (2, 3, 4, 12, 1782), '0x1.e61776d1de633p-1', '0x1.be9c4cdb4d624p-45'),
+    (rhs_product, (2, 3, 4, 12, 1783), '0x1.e61776d1de633p-1', '0x1.bd9c058e223fap-45'),
+    (rhs_product, (2, 3, 4, 12, 1784), '0x1.e61776d1de633p-1', '0x1.bc9c75f9e697cp-45'),
+    (rhs_product, (2, 3, 4, 12, 10**6), '0x1.e61776d1de633p-1', '0x1.357c299a88ea7p-81'),
+    (rhs_product, (3, 4, 6, 1080, 10**5), '0x1.facc3c2480746p-1', '0x1.b0b0ffe8fae2bp-102'),
+    (joint_density_product, (2, 3, 4, 12, 1), '0x1.0000000000000p+0', '0x1.e53d656f45818p-1'),
+    (joint_density_product, (2, 3, 4, 12, 11585), '0x1.c93cdcc8f90b9p-1',
+     '0x1.e2bf77942b311p-42'),
+    (joint_density_product, (2, 3, 4, 12, 11586), '0x1.c93cdcc8f90b9p-1',
+     '0x1.e29f7852368d1p-42'),
+    (joint_density_product, (2, 3, 4, 12, 11587), '0x1.c93cdcc8f90b9p-1',
+     '0x1.e27f7be418ba0p-42'),
+    (joint_density_product, (2, 3, 3, 194, 50), '0x1.b6f2c1d16c7a4p-1', '0x1.65ea369bfce0bp-18'),
+    (joint_density_product, (2, 3, 3, 194, 10**5), '0x1.b6f2a20e180f7p-1',
+     '0x1.804ea293472cap-51'),
+])
+def test_products_are_pinned_bit_for_bit(product, key, value, tail):
+    s, a, b, h, P = key
+    got = product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P))
+    assert (got.value.hex(), got.tail_bound.hex()) == (value, tail)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, 2.0, math.inf, math.nan])
+def test_euler_product_refuses_a_factor_outside_0_2(bad):
+    # the third prime, 5, gets the bad factor
+    def local(primes):
+        return (bad if p == 5 else 1.0 - p**-3.0 for p in primes)
+
+    assert _euler_product(3, 10, lambda primes: (1.0 - p**-3.0 for p in primes))[0] < 1.0
+    with pytest.raises(InternalAssertionError, match=r"at p = 5 escapes \(0, 2\)"):
+        _euler_product(3, 10, local)
 
 
 # windows at 10^12 (k = 3, cap 262145) and 10^14 (k = 4, cap 11586),

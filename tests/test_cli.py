@@ -226,9 +226,10 @@ def _limit_address_space():
 
 
 # with no budget set: a divisor lattice over 17 and over 25 primes,
-# tables of 10^12 entries and direct sums over 12^(10^8) terms or
-# 2^(10^8) tuples, each refused in one line before the work; run under
-# a 1 GiB address-space limit, where the work would fail
+# tables of 10^12 entries, direct sums over 12^(10^8) terms or 2^(10^8)
+# tuples, and exact ints of 12^(10^8) or 2^(10^8), each refused in one
+# line before the work; run under a 1 GiB address-space limit, where the
+# work would fail
 @pytest.mark.parametrize("argv", [
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
      ",".join(map(str, primes_upto(59).tolist()))),
@@ -238,6 +239,9 @@ def _limit_address_space():
     ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**12)),
     ("sum", "--r", "12", "--s", str(10**8), "--n", "7", "--evaluator", "direct"),
     ("sivaramakrishnan", "--s", str(10**8), "--k", "1", "--n", "2", "--R", "2"),
+    ("sum", "--r", "12", "--s", str(10**8), "--n", "7"),
+    ("sum", "--r", "12", "--s", str(10**8), "--n", "7", "--evaluator", "divisor-sum"),
+    ("jordan", "--k", str(10**8), "--n", "2"),
 ])
 def test_oversized_inputs_are_refused_in_one_line(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))

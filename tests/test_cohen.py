@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import _CHUNK, generalized_gcd, jordan, mobius
+from cohenram.arith import _CHUNK, _EXACT_LIMIT, generalized_gcd, jordan, mobius
 from cohenram.cohen import (
     CohenSumQuery,
     CohenSumValue,
@@ -328,7 +328,33 @@ def test_guard_shortcut_agrees_with_the_power():
     # s * (bit_length(r) - 1) >= 24 refuses without r^s; 2^23 < 10^7 < 2^24
     for r in range(1, 400):
         for s in range(1, 40):
-            assert _over_guard(r, s) == (r**s > DIRECT_TERM_GUARD), (r, s)
+            assert _over_guard(r, s, DIRECT_TERM_GUARD) == (r**s > DIRECT_TERM_GUARD), (r, s)
+    # the exact-int limit, where r^s crosses 2^14284 and where the
+    # shortcut s * (bit_length(r) - 1) >= 14285 starts
+    for r in range(2, 70):
+        crossing = int(14284 / math.log2(r))
+        shortcut = -(-14285 // (r.bit_length() - 1))
+        for s in {*range(crossing - 2, crossing + 3), *range(shortcut - 2, shortcut + 3)}:
+            assert _over_guard(r, s, _EXACT_LIMIT) == (r**s >= 2**14284), (r, s)
+
+
+def test_exact_int_guard():
+    # c_r^s(n) and J_k(n) are refused from bit lengths when r^s (n^k) has
+    # more than 14,284 bits, so every admitted value prints in 4,300 digits
+    assert crs_fast(2, 14283, 0) == crs_divisor_sum(2, 14283, 0) == jordan(14283, 2)
+    assert len(str(jordan(14283, 2))) <= 4300
+    assert crs_fast(1, 10**8, 7) == 1  # 1^s never grows
+    start = time.perf_counter()
+    for call in (lambda: crs_fast(2, 14284, 0), lambda: crs_fast(12, 10**8, 7),
+                 lambda: crs_divisor_sum(12, 10**8, 7),
+                 lambda: evaluate(CohenSumQuery(12, 10**8, 7)),
+                 lambda: evaluate(CohenSumQuery(12, 10**8, 7), "divisor-sum")):
+        with pytest.raises(ValueError, match=r"guard: r\^s = \d+\^\d+ has more than 14284 bits"):
+            call()
+    for k, n in ((14284, 2), (10**8, 2), (10**5, 10**12)):
+        with pytest.raises(ValueError, match=rf"jordan guard: n\^k = {n}\^{k} has more"):
+            jordan(k, n)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_evaluate_tags_and_dispatch():

@@ -1,9 +1,11 @@
 """Static checks on the package source, stdlib only: no module imports
-a name it never uses, every name exported through __all__ exists, and
-every memo is bounded."""
+a name it never uses, every name exported through __all__ exists, every
+private top-level name is read somewhere in the package, and every memo
+is bounded."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -49,6 +51,52 @@ def test_all_names_resolve(module):
         return
     mod = importlib.import_module("cohenram" if module == "__init__" else f"cohenram.{module}")
     assert sorted(n for n in exports if not hasattr(mod, n)) == []
+
+
+def _private_definitions(tree):
+    """(name, node) of every top-level function, class or constant whose
+    name has one leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((n, node) for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def _reads(node):
+    """How often each name is read under node, as a loaded name or an
+    attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                   or isinstance(n, ast.Attribute))
+
+
+def _orphans(trees):
+    """Private top-level names that no tree reads outside their own
+    definition."""
+    reads = sum((_reads(tree) for tree in trees), Counter())
+    return [n for tree in trees for n, node in _private_definitions(tree)
+            if reads[n] <= _reads(node)[n]]
+
+
+@pytest.mark.parametrize("source, orphans", [
+    ("_A = 1\ndef _f(): return _A", ["_f"]),
+    ("def _f(n): return _f(n - 1)", ["_f"]),  # only its own body reads it
+    ("class _C: pass\nx = obj._C", []),
+    ("_x: int = 0\n__all__ = []\ndef f(): return 1", ["_x"]),
+])
+def test_orphan_check(source, orphans):
+    assert _orphans([ast.parse(source)]) == orphans
+
+
+def test_every_private_name_has_a_reader():
+    # a private helper, class or constant that nothing in the package reads
+    # is left over from a refactor; tests alone do not keep it alive
+    assert _orphans([ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES]) == []
 
 
 def _is_sys(node, attr):
