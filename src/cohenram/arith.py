@@ -239,6 +239,7 @@ def divisors(n) -> list[int]:
 # the largest r^s the exact c_r^s evaluators and jordan build: 14,284 bits,
 # within Python's 4,300-digit int-to-str limit, since 2^14284 < 10^4300
 _EXACT_LIMIT = 2**14284 - 1
+_FLOAT_LIMIT = 2**1024 - 2**970 - 1  # the largest int float() takes without overflow
 
 
 def _over_guard(r: int, s: int, limit: int) -> bool:

@@ -41,8 +41,10 @@ from .arith import (
     _BLOCK,
     _CALL_BYTES,
     _CHUNK,
+    _FLOAT_LIMIT,
     _ZETA_PRECISION,
     _check_budget,
+    _over_guard,
     _prime_count_bound,
     _primes_bytes,
     _table_bytes,
@@ -117,17 +119,6 @@ class EulerProductResult:
     dividing_factor: str
     nondividing_factor: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "tail_bound": self.tail_bound,
-            "m": self.m,
-            "k": self.k,
-            "prime_cutoff": self.prime_cutoff,
-            "dividing_factor": self.dividing_factor,
-            "nondividing_factor": self.nondividing_factor,
-        }
-
 
 @dataclass(frozen=True)
 class AsymptoticReport:
@@ -142,26 +133,6 @@ class AsymptoticReport:
     tolerance: float
     converged: bool
     notes: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "query": {"s": self.query.s, "a": self.query.a, "b": self.query.b,
-                      "h": self.query.h, "N": self.query.N,
-                      "prime_cutoff": self.query.prime_cutoff},
-            "m": self.m,
-            "k": self.k,
-            "lhs_checkpoints": [[n, v] for n, v in self.lhs_checkpoints],
-            "rhs": self.rhs.to_json_dict(),
-            "ratios": [[n, v] for n, v in self.ratios],
-            "tolerance": self.tolerance,
-            "converged": self.converged,
-            "notes": list(self.notes),
-        }
-
-    def plot_data(self) -> str:
-        """Two whitespace-separated columns: N and ratio."""
-        return "".join(f"{n} {rho!r}\n" for n, rho in self.ratios)
 
 
 def _factor_cap(c: int, hi: int) -> int:
@@ -353,7 +324,8 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
     c = s + min(a, b): past _factor_cap(c, P) both factors of the base
     and the subtracted 1/p^(a+b+2s) round away, and so does the added
     (p^s - 1)/p^(a+b+2s) < p^-c at a dividing prime.  The refusal of a
-    prime of m above P, the reported cutoff and the tail bound use P.
+    prime of m above P, the reported cutoff and the tail bound use P; a
+    visited prime whose 1.0/p^x would overflow is refused next.
     """
     s, a, b, P = query.s, query.a, query.b, query.prime_cutoff
     m, kfree = shift_decompose(query.h, s)
@@ -363,8 +335,15 @@ def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
             raise ValueError(
                 f"prime cutoff {P} is below {largest}, the largest prime of m = {m}")
 
-    e = a + b + 2 * s
-    value, tail_bound = _euler_product(s + min(a, b), P, lambda primes: (
+    e, c = a + b + 2 * s, s + min(a, b)
+    cap = _factor_cap(c, P)
+    if _over_guard(cap, e, _FLOAT_LIMIT):  # else no 1.0 / p**x below can overflow
+        for p in primes_upto(cap).tolist():  # x is s + max(a, b) at a prime of m, else e
+            x = s + max(a, b) if m % p == 0 else e
+            if _over_guard(p, x, _FLOAT_LIMIT):
+                raise ValueError(f"the Euler factor at p = {p} needs p^{x} (s = {s}, a = {a}, "
+                                 f"b = {b}), past the 2^1024 float guard")
+    value, tail_bound = _euler_product(c, P, lambda primes: (
         (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
         + ((p**s - 1) / p**e if m % p == 0 else -1.0 / p**e) for p in primes))
     return EulerProductResult(

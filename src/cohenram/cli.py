@@ -4,7 +4,8 @@ Every library operation is reachable from exactly one subcommand; run
 ``cohenram --help`` for the list.  Exit status: 0 success, 1 invalid
 input (one-line diagnostic on stderr), 2 internal assertion failure.
 Output is deterministic: the same invocation produces byte-identical
-bytes, JSON included; dispatch renders each command's Report.
+bytes, JSON included.  Only this module knows the format: dispatch renders
+each command's Report, whose JSON comes from result fields, and adds "schema".
 
 Only one setting may come from the environment (COHENRAM_MEMORY_BUDGET);
 all scientific parameters must be spelled out as flags.
@@ -163,15 +164,20 @@ class Report:
     failure: str | None = None
 
 
+def _fields(report) -> dict:
+    """A report dataclass as its JSON object, one key per field."""
+    return vars(report)
+
+
 def _scalar_report(config: RunConfig, fields: dict, value) -> Report:
-    return Report({"schema": 1, "command": config.command, **fields, "value": value},
+    return Report({"command": config.command, **fields, "value": value},
                   [[*fields, "value"], [*fields.values(), value]], [value])
 
 
 def _expansion_report(report) -> Report:
     t = report.target
     return Report(
-        report.to_json_dict(),
+        _fields(report),
         [["Q", "partial_sum", "abs_error"],
          *([q, s, abs(s - t)] for q, s in report.partial_sums)],
         [f"target           {t!r}",
@@ -183,7 +189,7 @@ def _expansion_report(report) -> Report:
 def _asymptotic_report(report) -> Report:
     points = [(n, v, rho) for (n, v), (_, rho) in zip(report.lhs_checkpoints, report.ratios)]
     return Report(
-        report.to_json_dict(),
+        _fields(report),
         [["N", "lhs", "N_times_rhs", "ratio"],
          *([n, v, n * report.rhs.value, rho] for n, v, rho in points)],
         [f"h = {report.query.h} = m^s * k with m={report.m}, k={report.k} "
@@ -262,7 +268,7 @@ def _run_local_check(config: RunConfig) -> Report:
     if equal and not cases_match:
         raise InternalAssertionError("closed-form local factors disagree with the product")
     return Report(
-        {"schema": 1, "command": "local-check", "s": s, "k": k, "n": n, "primes": primes,
+        {"command": "local-check", "s": s, "k": k, "n": n, "primes": primes,
          "lhs": str(lhs), "rhs": str(rhs), "equal": equal,
          "case_factors": {str(q): str(v) for q, v in factors.items()},
          "cases_match": cases_match},
@@ -283,22 +289,23 @@ def _run_asymptotic(config: RunConfig) -> Report:
     report = asymptotic_verify(query, p["tolerance"], memory_budget=config.memory_budget)
     if p.get("emit_plot_data"):
         with open(p["emit_plot_data"], "w") as fh:
-            fh.write(report.plot_data())
+            fh.write("".join(f"{n} {rho!r}\n" for n, rho in report.ratios))
     return _asymptotic_report(report)
 
 
 def _run_main_term(config: RunConfig) -> Report:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
+    query = AsymptoticQuery(s, a, b, h, 1, R)  # refuses bad hypotheses before any table
     _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R),
                   config.memory_budget)
+    product = rhs_product(query).value  # and exponents past the float range
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
     series = general_main_term(fa, fb, s, h)
-    product = rhs_product(AsymptoticQuery(s, a, b, h, 1, R)).value
     diff = abs(series - product)
     return Report(
-        {"schema": 1, "command": "main-term", "s": s, "a": a, "b": b, "h": h, "R": R,
+        {"command": "main-term", "s": s, "a": a, "b": b, "h": h, "R": R,
          "series": series, "product": product, "abs_diff": diff},
         [["series", "product", "abs_diff"], [series, product, diff]],
         [f"series  {series!r}", f"product {product!r}", f"|diff|  {diff!r}"])
@@ -328,7 +335,7 @@ def _run_repro_all(config: RunConfig) -> Report:
                 f"(|ratio-1|={c['final_abs_error']!r}, tolerance={c['tolerance']!r})")
              for c in checks]
     return Report(
-        {"schema": 1, "command": "repro-all", "checks": checks, "overall_pass": not failed},
+        {"command": "repro-all", "checks": checks, "overall_pass": not failed},
         [["name", "pass"], *([c["name"], c["pass"]] for c in checks), ["overall", not failed]],
         [*lines, f"overall: {'FAIL' if failed else 'PASS'}"],
         failure=f"repro-all: {failed} of {len(checks)} checks failed" if failed else None)
@@ -356,7 +363,8 @@ def dispatch(config: RunConfig) -> int:
         raise ValueError(f"unknown command {config.command!r}")
     report = handler(config)
     if config.output == "json":
-        text = json.dumps(report.payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps({"schema": 1, **report.payload}, indent=2, sort_keys=True,
+                          default=_fields) + "\n"
     elif config.output == "csv":
         text = "".join(",".join(map(str, row)) + "\n" for row in report.rows)
     else:
@@ -376,6 +384,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError as exc:  # numpy's _ArrayMemoryError included
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -26,6 +26,7 @@ import numpy as np
 from .arith import (
     _CALL_BYTES,
     _CHUNK,
+    _FLOAT_LIMIT,
     _ZETA_PRECISION,
     _check_budget,
     _over_guard,
@@ -48,7 +49,6 @@ __all__ = [
     "sivaramakrishnan_check",
 ]
 
-_NS_LIMIT = 2**63
 _LATTICE_PRIMES = 10  # distinct primes in one divisor lattice: 1,024 divisors
 
 
@@ -77,21 +77,17 @@ class ExpansionReport:
     tolerance: float
     converged: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "query": {"s": self.query.s, "k": self.query.k,
-                      "n": self.query.n, "Q": self.query.Q},
-            "target": self.target,
-            "partial_sums": [[q, s] for q, s in self.partial_sums],
-            "final_abs_error": self.final_abs_error,
-            "tolerance": self.tolerance,
-            "converged": self.converged,
-        }
-
 
 def _checkpoints(final: int) -> list[int]:
     return sorted({c for c in (10, 100, 1000) if c < final} | {final})
+
+
+def _target(s: int, k: int, n: int) -> float:
+    """zeta(s+k) J_k(n)/n^k, refused where the quotient would overflow."""
+    z, j = zeta(s + k, _ZETA_PRECISION), jordan(k, n)
+    if _over_guard(n, k, _FLOAT_LIMIT):  # after jordan's own guard
+        raise ValueError(f"the target needs n^k = {n}^{k}, past the 2^1024 float guard")
+    return z * j / n**k
 
 
 def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
@@ -127,13 +123,12 @@ def expansion_partial_sum(query: ExpansionQuery, *,
     terms decay like q^-(s+k) with an n-dependent constant.
     """
     s, k, n, Q = query.s, query.k, query.n, query.Q
-    ns = n**s
-    if ns >= _NS_LIMIT:
-        raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
+    if _over_guard(n, s, 2**63 - 1):  # before n^s is built
+        raise ValueError(f"n^s = {n}^{s} exceeds the 2^63 evaluation guard")
     # the table, one chunk of the Python floats fsum reads and the call's small objects
     _check_budget(f"expansion table to Q = {Q}",
                   _table_bytes(Q) + 32 * min(Q, _CHUNK) + _CALL_BYTES, memory_budget)
-    target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
+    target = _target(s, k, n)
     terms = _expansion_terms(s, k, n, Q)
 
     partials = tuple(
@@ -238,14 +233,13 @@ def local_factor_exact(s: int, k: int, n: int,
         raise ValueError(f"{len(pset)} distinct primes exceed the lattice guard of "
                          f"{_LATTICE_PRIMES} (2^{_LATTICE_PRIMES} divisors)")
     qp = math.prod(pset)
-    if qp >= _NS_LIMIT:
+    if qp >= 2**63:
         raise ValueError(f"the product of the primes ({qp.bit_length()} bits) "
                          "exceeds the 2^63 lattice guard")
     weights, jqp, jp, jp_prod = _jordan_row(s + k, pset)
-    ns = n**s
-    if ns >= _NS_LIMIT:
-        raise ValueError(f"n^s = {ns} exceeds the 2^63 evaluation guard")
-    crs, crs_at_p = _crs_row(s, ns, pset)
+    if _over_guard(n, s, 2**63 - 1):
+        raise ValueError(f"n^s = {n}^{s} exceeds the 2^63 evaluation guard")
+    crs, crs_at_p = _crs_row(s, n**s, pset)
     lhs_num = sum(map(mul, weights, crs))
     rhs_num = math.prod(map(sub, jp, crs_at_p))
     lhs = Fraction(lhs_num, jqp)
@@ -294,7 +288,7 @@ def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
                     f"k-vector enumeration to R = {R} exceeds the "
                     f"{DIRECT_TERM_GUARD}-tuple guard at r = {r}")
             signed.append((r, mu))
-    target = zeta(s + k, _ZETA_PRECISION) * jordan(k, n) / n**k
+    target = _target(s, k, n)
 
     terms = [0.0] * (R + 1)
     for r, mu in signed:

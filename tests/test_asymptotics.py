@@ -22,7 +22,7 @@ from cohenram.asymptotics import (
     lhs_sum,
     rhs_product,
 )
-from cohenram import asymptotics
+from cohenram import asymptotics, cli
 from cohenram.asymptotics import (
     _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_windows, _ratio_array)
 from cohenram.arith import _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
@@ -538,20 +538,18 @@ def test_verify_charge_covers_the_traced_peak(key):
     assert charge <= 2 * peak
 
 
-def test_report_serialization():
+def test_report_serialization(capsys):
+    # the CLI renders the report's JSON from its fields
     q = AsymptoticQuery(2, 3, 3, 12, 5000, prime_cutoff=1000)
     rep = asymptotic_verify(q, tolerance=0.05)
-    d = rep.to_json_dict()
-    blob = json.dumps(d, sort_keys=True)
-    back = json.loads(blob)
+    assert cli.main(["asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12",
+                     "--N", "5000", "--prime-cutoff", "1000", "--tolerance", "0.05",
+                     "--output", "json"]) == 0
+    back = json.loads(capsys.readouterr().out)
     assert back["schema"] == 1
     assert back["m"] == 2 and back["k"] == 3
     assert back["rhs"]["prime_cutoff"] == 1000
     assert back["lhs_checkpoints"] == [[n, v] for n, v in rep.lhs_checkpoints]
-
-    plot = rep.plot_data().strip().split("\n")
-    assert len(plot) == len(rep.ratios)
-    assert plot[0].split() == [str(rep.ratios[0][0]), repr(rep.ratios[0][1])]
 
 
 @pytest.mark.xfail(strict=True,

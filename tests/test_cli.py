@@ -117,6 +117,10 @@ def test_asymptotic_with_plot_data(capsys, tmp_path):
     n0, rho0 = rows[0].split()
     assert int(n0) == 10**4
     assert float(rho0) == payload["ratios"][0][1]
+    # one "N ratio" line per checkpoint, the ratio written by repr
+    rep = asymptotic_verify(AsymptoticQuery(2, 3, 3, 12, 20000, prime_cutoff=1000))
+    assert len(rows) == len(rep.ratios)
+    assert rows[0].split() == [str(rep.ratios[0][0]), repr(rep.ratios[0][1])]
 
 
 def test_asymptotic_csv(capsys):
@@ -225,11 +229,21 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+# refused by the query's hypotheses before any table is built
+_HUGE_S = ("main-term", "--s", str(10**8), "--a", "3", "--b", "3", "--h", "12", "--R", "1000")
+# tables of 10^8 entries that the 1 GiB cannot hold
+_OUT_OF_MEMORY = (
+    ("expansion", "--s", "2", "--k", "1", "--n", "6", "--Q", str(10**8)),
+    ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**8)),
+)
+
+
 # with no budget set: a divisor lattice over 17 and over 25 primes,
 # tables of 10^12 entries, direct sums over 12^(10^8) terms or 2^(10^8)
-# tuples, and exact ints of 12^(10^8) or 2^(10^8), each refused in one
-# line before the work; run under a 1 GiB address-space limit, where the
-# work would fail
+# tuples, exact ints of 12^(10^8) or 2^(10^8), an n^s of 2^100000,
+# 10^4300 or 6^(10^8) and floats past 2^1024, each refused in one line
+# before the work; run under a 1 GiB address-space limit, where the work
+# would fail, as the 10^8-entry tables do, also in one line
 @pytest.mark.parametrize("argv", [
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
      ",".join(map(str, primes_upto(59).tolist()))),
@@ -242,6 +256,17 @@ def _limit_address_space():
     ("sum", "--r", "12", "--s", str(10**8), "--n", "7"),
     ("sum", "--r", "12", "--s", str(10**8), "--n", "7", "--evaluator", "divisor-sum"),
     ("jordan", "--k", str(10**8), "--n", "2"),
+    ("expansion", "--s", "100000", "--k", "1", "--n", "2", "--Q", "10"),
+    ("local-check", "--s", "4300", "--k", "1", "--n", "10", "--primes", "2"),
+    ("expansion", "--s", str(10**8), "--k", "1", "--n", "6", "--Q", "1000"),
+    ("asymptotic", "--s", "600", "--a", "400", "--b", "400", "--h", "1", "--N", "10"),
+    ("asymptotic", "--s", "2", "--a", str(10**8), "--b", "3", "--h", "12", "--N", "1000"),
+    ("asymptotic", "--s", "2", "--a", "3", "--b", "700", "--h", "1", "--N", "10"),
+    ("expansion", "--s", "2", "--k", "1000", "--n", "6", "--Q", "10"),
+    ("sivaramakrishnan", "--s", "1", "--k", "1000", "--n", "6", "--R", "3"),
+    ("main-term", "--s", "2", "--a", str(10**8), "--b", "3", "--h", "12", "--R", "1000"),
+    _HUGE_S,
+    *_OUT_OF_MEMORY,
 ])
 def test_oversized_inputs_are_refused_in_one_line(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -252,7 +277,8 @@ def test_oversized_inputs_are_refused_in_one_line(argv):
                           text=True, env=env, timeout=5, preexec_fn=_limit_address_space)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    assert "guard" in proc.stderr
+    word = "out of memory" if argv in _OUT_OF_MEMORY else "1 + s/2" if argv == _HUGE_S else "guard"
+    assert word in proc.stderr
 
 
 _IMPORTS_SCRIPT = """

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from cohenram import expansions
+from cohenram import cli, expansions
 from cohenram.arith import factorize, jordan, mobius, primes_upto, zeta
 from cohenram.cohen import crs_fast
 from cohenram.expansions import (
@@ -119,10 +119,12 @@ def test_overflow_guard_on_argument():
         expansion_partial_sum(ExpansionQuery(2, 1, 2**40, 10))
 
 
-def test_serialization_round_trip():
+def test_serialization_round_trip(capsys):
+    # the CLI renders the report's JSON from its fields
     rep = expansion_partial_sum(ExpansionQuery(2, 2, 5, 1500))
-    blob = json.dumps(rep.to_json_dict(), sort_keys=True)
-    back = json.loads(blob)
+    assert cli.main(["expansion", "--s", "2", "--k", "2", "--n", "5", "--Q", "1500",
+                     "--output", "json"]) == 0
+    back = json.loads(capsys.readouterr().out)
     assert back["schema"] == 1
     assert back["query"] == {"s": 2, "k": 2, "n": 5, "Q": 1500}
     assert back["partial_sums"] == [[q, s] for q, s in rep.partial_sums]

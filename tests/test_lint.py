@@ -116,6 +116,18 @@ def test_one_writer_of_stdout():
                for n in prints)
 
 
+def test_only_cli_renders():
+    # a report's JSON comes from its dataclass fields in cli, which stamps
+    # the schema once; a layout written out elsewhere would drift from them
+    for module in MODULES:
+        if module == "cli":
+            continue
+        nodes = list(ast.walk(ast.parse((SRC / f"{module}.py").read_text())))
+        assert not [n for n in nodes if isinstance(n, ast.Constant) and n.value == "schema"]
+        assert not [n.name for n in nodes if isinstance(n, ast.FunctionDef)
+                    and n.name in ("to_json_dict", "plot_data")]
+
+
 def _is_functools(node, attr):
     return ((isinstance(node, ast.Name) and node.id == attr)
             or (isinstance(node, ast.Attribute) and node.attr == attr
