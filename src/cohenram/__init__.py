@@ -32,7 +32,6 @@ from .cohen import (
     crs_direct_spectrum,
     crs_divisor_sum,
     crs_fast,
-    crs_of_shift,
     evaluate,
     kvector_sum,
     shift_decompose,
@@ -52,7 +51,6 @@ from .asymptotics import (
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
-    joint_density_product,
     lhs_sum,
     rhs_product,
 )
@@ -66,11 +64,11 @@ __all__ = [
     "zeta_upper_bound", "primes_upto",
     "CohenSumQuery", "CohenSumValue", "RoundingAssertionError",
     "crs_direct", "crs_direct_spectrum", "crs_divisor_sum", "crs_fast",
-    "crs_of_shift", "kvector_sum", "shift_decompose", "evaluate",
+    "kvector_sum", "shift_decompose", "evaluate",
     "ExpansionQuery", "ExpansionReport", "expansion_partial_sum",
     "local_factor_exact", "local_factor_cases", "sivaramakrishnan_check",
     "AsymptoticQuery", "AsymptoticReport", "EulerProductResult",
-    "lhs_sum", "rhs_product", "joint_density_product", "asymptotic_verify",
+    "lhs_sum", "rhs_product", "asymptotic_verify",
     "general_main_term", "expansion_coefficients",
     "__version__",
 ]

@@ -6,24 +6,23 @@ The summation side is
     L(N) = sum_{n <= N} J_a(n)/n^a * J_b(n+h)/(n+h)^b,
 
 computed from float64 tables of the Jordan ratios.  The target side
-is the truncated Euler product
+is one Euler product at a level t >= 1,
 
-    prod_{p | m} [(1 - p^-(s+a))(1 - p^-(s+b)) + (p^s - 1)/p^(a+b+2s)]
-    * prod_{p not| m} [(1 - p^-(s+a))(1 - p^-(s+b)) - 1/p^(a+b+2s)],
+    prod_p (1 - p^-(t+a) - p^-(t+b) + [p^t | h] p^-(t+a+b)),
 
-where h = m^s * k with k s-power-free, plus the generic main-term
-series sum_r fhat(r) ghat(r) c_r^s(h) for caller-supplied coefficient
-tables.  ``asymptotic_verify`` reports the ratio trajectory
-L(N)/(N * product) so agreement or disagreement is measured, not
-assumed.
+the mean value of F_a(n) F_b(n+h), where F_k(n) = prod_{p^t | n}
+(1 - p^-k) is the level-t Jordan ratio.  At t = 1, F_k(n) is
+J_k(n)/n^k, and the product is the constant C that L(N)/N tends to.
+At t = s, with h = m^s * k and k s-power-free (so p^s | h exactly
+when p | m), it is the paper's product P, its pair of local factors
 
-``joint_density_product`` is the constant L(N)/N actually tends to,
+    p | m:   (1 - p^-(s+a))(1 - p^-(s+b)) + (p^s - 1)/p^(a+b+2s)
+    p !| m:  (1 - p^-(s+a))(1 - p^-(s+b)) - 1/p^(a+b+2s)
 
-    C = prod_p (1 - p^-(a+1) - p^-(b+1) + [p | h] p^-(a+b+1)),
-
-found by expanding J_k(n)/n^k = sum_{d | n} mu(d)/d^k in both factors
-and counting joint divisibility.  It does not depend on s, and equals
-the product above at s = 1.
+expanded.  The generic main-term series sum_r fhat(r) ghat(r) c_r^s(h)
+takes caller-supplied coefficient tables.  ``asymptotic_verify``
+reports the ratio trajectory L(N)/(N * P) so agreement or disagreement
+is measured, not assumed.
 """
 
 from __future__ import annotations
@@ -48,7 +47,6 @@ from .arith import (
     _prime_count_bound,
     _primes_bytes,
     _table_bytes,
-    factorize,
     multiplicative_table,
     primes_upto,
     zeta,
@@ -61,7 +59,6 @@ __all__ = [
     "AsymptoticReport",
     "lhs_sum",
     "rhs_product",
-    "joint_density_product",
     "asymptotic_verify",
     "general_main_term",
     "expansion_coefficients",
@@ -132,7 +129,6 @@ class AsymptoticReport:
     ratios: tuple[tuple[int, float], ...]
     tolerance: float
     converged: bool
-    notes: tuple[str, ...]
 
 
 def _factor_cap(c: int, hi: int) -> int:
@@ -299,7 +295,7 @@ def _product_bytes(c: int, P: int) -> int:
 def _euler_product(c: int, P: int, local) -> tuple[float, float]:
     """The product of local(primes), the factors at the primes to the
     cutoff P, which local yields from one generator (no Python call per
-    prime), and a bound on the relative size of the omitted tail.  Each
+    prime), and a bound on the relative size of the omitted tail.  The
     caller shows that its factors are exactly 1.0 past _factor_cap(c, P),
     where the loop stops, so the value is the product to P bit for bit,
     and within 2 p^-c of 1 past P, c >= 2, so the tail is within
@@ -315,65 +311,36 @@ def _euler_product(c: int, P: int, local) -> tuple[float, float]:
     return value, math.expm1(2.0 * P ** (1 - c) / (c - 1))
 
 
-def rhs_product(query: AsymptoticQuery) -> EulerProductResult:
-    """The truncated Euler product over primes up to the cutoff.
+def rhs_product(query: AsymptoticQuery, level: int) -> EulerProductResult:
+    """The level-t mean value of F_a(n) F_b(n+h), t = level, as an Euler
+    product over the primes up to the cutoff: C at level 1, the paper's
+    P at level s.
 
-    The dividing-prime numerator is p^s - 1, which is the exact value
-    c_p^s(m^s) of the prime-level Cohen-Ramanujan sum.  Every factor is
-    1 +- x with x <= 2 p^-(s+min(a,b)), so _euler_product takes it with
-    c = s + min(a, b): past _factor_cap(c, P) both factors of the base
-    and the subtracted 1/p^(a+b+2s) round away, and so does the added
-    (p^s - 1)/p^(a+b+2s) < p^-c at a dividing prime.  The refusal of a
-    prime of m above P, the reported cutoff and the tail bound use P; a
-    visited prime whose 1.0/p^x would overflow is refused next.
+    The local factor at p is 1 - p^-(t+a) - p^-(t+b), plus p^-(t+a+b)
+    when p^t | h, that is when p | m for h = m^t * k with k t-power-free
+    (m and k are reported).  Every factor lies in [1 - 2 p^-c, 1) with
+    c = t + min(a, b), the c _euler_product takes, so past
+    _factor_cap(c, P) each factor is exactly 1.0, and the tail bound
+    covers the primes of m above the cutoff.  A visited prime whose
+    1.0 / p^x would overflow, x = t + a + b at a prime of m and
+    t + max(a, b) elsewhere, is refused first; so is a level below 1.
     """
-    s, a, b, P = query.s, query.a, query.b, query.prime_cutoff
-    m, kfree = shift_decompose(query.h, s)
-    if m > 1:
-        largest = factorize(m).factors[-1][0]
-        if largest > P:
-            raise ValueError(
-                f"prime cutoff {P} is below {largest}, the largest prime of m = {m}")
-
-    e, c = a + b + 2 * s, s + min(a, b)
+    t, a, b, P = level, query.a, query.b, query.prime_cutoff
+    m, kfree = shift_decompose(query.h, t)
+    e, c = t + a + b, t + min(a, b)
     cap = _factor_cap(c, P)
     if _over_guard(cap, e, _FLOAT_LIMIT):  # else no 1.0 / p**x below can overflow
-        for p in primes_upto(cap).tolist():  # x is s + max(a, b) at a prime of m, else e
-            x = s + max(a, b) if m % p == 0 else e
+        for p in primes_upto(cap).tolist():
+            x = e if m % p == 0 else t + max(a, b)
             if _over_guard(p, x, _FLOAT_LIMIT):
-                raise ValueError(f"the Euler factor at p = {p} needs p^{x} (s = {s}, a = {a}, "
-                                 f"b = {b}), past the 2^1024 float guard")
+                raise ValueError(f"the Euler factor at p = {p} needs p^{x} (level {t}, "
+                                 f"a = {a}, b = {b}), past the 2^1024 float guard")
     value, tail_bound = _euler_product(c, P, lambda primes: (
-        (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
-        + ((p**s - 1) / p**e if m % p == 0 else -1.0 / p**e) for p in primes))
-    return EulerProductResult(
-        value, tail_bound, m, kfree, P,
-        f"(1 - p^-{s + a})*(1 - p^-{s + b}) + (p^{s} - 1)/p^{e}",
-        f"(1 - p^-{s + a})*(1 - p^-{s + b}) - 1/p^{e}")
-
-
-def joint_density_product(query: AsymptoticQuery) -> EulerProductResult:
-    """The mean value C of J_a(n)/n^a * J_b(n+h)/(n+h)^b as an Euler
-    product over primes up to the cutoff.
-
-    The local factor at p is the density-weighted sum over d, e in
-    {1, p} of mu(d) mu(e)/(d^a e^b): d | n and e | n+h hold jointly
-    with density 1/lcm(d, e) when gcd(d, e) | h, and never otherwise.
-    So it is 1 - p^-(a+1) - p^-(b+1), plus p^-(a+b+1) when p | h.  The
-    query's s plays no part; m = h and k = 1 are reported, the s = 1
-    decomposition, because the dividing primes are those of h.
-
-    Every factor, whether or not p divides h, lies in [1 - 2 p^-c, 1)
-    with c = min(a, b) + 1, the c _euler_product takes, so its tail bound
-    covers the primes of h above the cutoff: they are not refused.
-    """
-    a, b, h, P = query.a, query.b, query.h, query.prime_cutoff
-    value, tail_bound = _euler_product(min(a, b) + 1, P, lambda primes: (
-        1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
-        + (1.0 / p ** (a + b + 1) if h % p == 0 else 0.0) for p in primes))
-    return EulerProductResult(
-        value, tail_bound, h, 1, P, f"1 - p^-{a + 1} - p^-{b + 1} + p^-{a + b + 1}",
-        f"1 - p^-{a + 1} - p^-{b + 1}")
+        1.0 - 1.0 / p ** (t + a) - 1.0 / p ** (t + b)
+        + (1.0 / p**e if m % p == 0 else 0.0) for p in primes))
+    return EulerProductResult(value, tail_bound, m, kfree, P,
+                              f"1 - p^-{t + a} - p^-{t + b} + p^-{e}",
+                              f"1 - p^-{t + a} - p^-{t + b}")
 
 
 def _verify_bytes(query: AsymptoticQuery) -> int:
@@ -423,7 +390,7 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
                   f"{query.h + query.N}] and the Euler product to "
                   f"P = {query.prime_cutoff}", _verify_bytes(query), memory_budget)
     checkpoints = tuple(lhs_sum(query))
-    rhs = rhs_product(query)
+    rhs = rhs_product(query, query.s)
     ratios = []
     for n, v in checkpoints:
         rho = v / (n * rhs.value)
@@ -432,12 +399,8 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
         ratios.append((n, rho))
     errs = [abs(rho - 1.0) for _, rho in ratios]
     converged = errs[-1] < tolerance and (len(errs) < 2 or errs[-1] <= errs[-2])
-    notes = (
-        "dividing-prime local factor numerator is p^s - 1, the exact value "
-        "of c_p^s(m^s) for p | m",
-    )
     return AsymptoticReport(query, m, kfree, checkpoints, rhs, tuple(ratios),
-                            tolerance, converged, notes)
+                            tolerance, converged)
 
 
 def _crs_table(R: int, s: int, h: int) -> np.ndarray:

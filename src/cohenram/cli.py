@@ -197,8 +197,7 @@ def _asymptotic_report(report) -> Report:
          f"rhs product      {report.rhs.value!r} (P={report.rhs.prime_cutoff}, "
          f"tail bound {report.rhs.tail_bound!r})",
          *(f"N={n:<9} lhs={v!r}  ratio={rho!r}" for n, v, rho in points),
-         f"converged        {report.converged} (tolerance {report.tolerance!r})",
-         *(f"note: {note}" for note in report.notes)])
+         f"converged        {report.converged} (tolerance {report.tolerance!r})"])
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +298,7 @@ def _run_main_term(config: RunConfig) -> Report:
     query = AsymptoticQuery(s, a, b, h, 1, R)  # refuses bad hypotheses before any table
     _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R),
                   config.memory_budget)
-    product = rhs_product(query).value  # and exponents past the float range
+    product = rhs_product(query, s).value  # and exponents past the float range
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
     series = general_main_term(fa, fb, s, h)

@@ -32,7 +32,6 @@ __all__ = [
     "crs_divisor_sum",
     "crs_fast",
     "shift_decompose",
-    "crs_of_shift",
     "kvector_sum",
     "evaluate",
 ]
@@ -216,13 +215,6 @@ def shift_decompose(h: int, s: int) -> tuple[int, int]:
         m *= p ** (e // s)
         k *= p ** (e % s)
     return m, k
-
-
-def crs_of_shift(r: int, s: int, h: int) -> int:
-    """c_r^s(h) evaluated through the reduction c_r^s(h) = c_r^s(m^s),
-    where h = m^s * k with k s-power-free."""
-    m, _ = shift_decompose(h, s)
-    return crs_fast(r, s, m**s)
 
 
 def kvector_sum(k: int, n: int, r: int) -> int:

@@ -2,8 +2,8 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the lines as they
 complete.  Criterion 5 checks L(N)/N against C, the mean value obtained
-by expanding both Jordan ratios over their divisors
-(``joint_density_product``).  Its verdict line also prints the ratio
+by expanding both Jordan ratios over their divisors: the Euler
+product ``rhs_product`` at level 1.  Its verdict line also prints the ratio
 against the paper's product P, which settles at roughly 0.92x / 0.94x
 on the two reference configurations: for s > 1, N * P is not the limit
 of the sum (it depends on s, the sum does not; see the README).
@@ -35,7 +35,6 @@ from cohenram.asymptotics import (
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
-    joint_density_product,
     lhs_sum,
     rhs_product,
 )
@@ -147,7 +146,7 @@ def test_criterion_5_shifted_convolution_asymptotic():
     for s, a, b, h in GRID_5:
         q = AsymptoticQuery(s, a, b, h, 10**6, prime_cutoff=10**5)
         rep = asymptotic_verify(q, tolerance=0.02)
-        C = joint_density_product(q).value
+        C = rhs_product(q, 1).value
         rho_C = {n: v / (n * C) for n, v in rep.lhs_checkpoints}
         results.append((s, a, b, h, rho_C[10**6], rep.ratios[-1][1],
                         abs(rho_C[10**4] - 1.0), abs(rho_C[10**6] - 1.0)))
@@ -169,7 +168,7 @@ def test_criterion_6_series_product_consistency():
         q = AsymptoticQuery(s, a, b, h, 1, prime_cutoff=10**4)
         series = general_main_term(expansion_coefficients(s, a, 10**4),
                                    expansion_coefficients(s, b, 10**4), s, h)
-        worst = max(worst, abs(series - rhs_product(q).value))
+        worst = max(worst, abs(series - rhs_product(q, s).value))
     ok = worst < 1e-6
     _verdict(6, "main-term series vs Euler product", ok,
              f"R = P = 1e4, worst |diff| = {worst:.3e}")

@@ -18,7 +18,6 @@ from cohenram.asymptotics import (
     asymptotic_verify,
     expansion_coefficients,
     general_main_term,
-    joint_density_product,
     lhs_sum,
     rhs_product,
 )
@@ -238,17 +237,17 @@ def test_chunk_sum_refuses_summands_outside_its_range(bad):
 
 
 # ---------------------------------------------------------------------------
-# product side
+# product side: the paper's P is the product at level s
 
 def test_rhs_single_prime_factor_example():
     # s=2, a=3, b=3, h=12 = 2^2 * 3, so m = 2; at P = 2 only p = 2 enters
-    res = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=2))
+    res = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=2), 2)
     assert res.m == 2 and res.k == 3
     assert res.value == pytest.approx((1 - 2**-5) ** 2 + 3 * 2**-10, rel=1e-15)
 
 
 def test_rhs_empty_product():
-    res = rhs_product(AsymptoticQuery(2, 3, 3, 1, 1, prime_cutoff=1))
+    res = rhs_product(AsymptoticQuery(2, 3, 3, 1, 1, prime_cutoff=1), 2)
     assert res.m == 1 and res.k == 1
     assert res.value == 1.0
     assert res.tail_bound > 0
@@ -256,7 +255,9 @@ def test_rhs_empty_product():
 
 def test_rhs_factor_matches_general_form():
     # (1-p^-(s+a))(1-p^-(s+b)) (1 + c_p^s(m^s)/((p^(s+a)-1)(p^(s+b)-1)))
-    # == (1-p^-(s+a))(1-p^-(s+b)) + c_p^s(m^s)/p^(a+b+2s)   exactly
+    # == (1-p^-(s+a))(1-p^-(s+b)) + c_p^s(m^s)/p^(a+b+2s)   exactly,
+    # and that pair of factors, expanded, is the level-s factor
+    # 1 - p^-(s+a) - p^-(s+b) + [p | m] p^-(s+a+b)
     for s, a, b in [(2, 3, 3), (2, 4, 3), (3, 3, 3)]:
         for m in (1, 2, 6):
             for p in (2, 3, 5, 7, 11):
@@ -264,26 +265,47 @@ def test_rhs_factor_matches_general_form():
                 base = (1 - Fraction(1, p ** (s + a))) * (1 - Fraction(1, p ** (s + b)))
                 general = base * (1 + Fraction(c, (p ** (s + a) - 1) * (p ** (s + b) - 1)))
                 split = base + Fraction(c, p ** (a + b + 2 * s))
-                assert general == split
+                level = (1 - Fraction(1, p ** (s + a)) - Fraction(1, p ** (s + b))
+                         + (Fraction(1, p ** (s + a + b)) if m % p == 0 else 0))
+                assert general == split == level
                 # and c at a prime is p^s - 1 or -1 according to p | m
                 assert c == (p**s - 1 if m % p == 0 else -1)
 
 
-def test_rhs_requires_cutoff_above_m():
-    with pytest.raises(ValueError, match="cutoff"):
-        rhs_product(AsymptoticQuery(2, 3, 3, 7**2, 1, prime_cutoff=5))
+def test_rhs_refuses_a_level_below_one():
+    with pytest.raises(ValueError, match="s >= 1"):
+        rhs_product(AsymptoticQuery(2, 3, 3, 12, 1), 0)
+
+
+def test_rhs_refuses_a_power_past_the_float_range_in_one_line():
+    # at level 1, a = b = 1100 needs 1.0 / 2^1101 at the first prime
+    with pytest.raises(ValueError, match=r"p\^1101 .* 2\^1024 float guard") as info:
+        rhs_product(AsymptoticQuery(2, 1100, 1100, 1, 10, 10), 1)
+    assert "\n" not in str(info.value)
 
 
 def test_rhs_tail_bound_is_honest():
-    q100 = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=100))
-    q_hi = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=10**5))
+    q100 = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=100), 2)
+    q_hi = rhs_product(AsymptoticQuery(2, 3, 3, 12, 1, prime_cutoff=10**5), 2)
     assert abs(q_hi.value - q100.value) <= q100.tail_bound * q100.value
     assert q_hi.tail_bound < q100.tail_bound
 
 
+# every level-t factor lies in [1 - 2 p^-c, 1), so the tail bound also
+# covers a prime of m above the cutoff: 7 of m = 7 at P = 5, 97 of
+# m = 2 * 97 at P = 50
+@pytest.mark.parametrize("h, P", [(7**2, 5), (4 * 97**2, 50)])
+def test_rhs_tail_bound_covers_primes_of_m_above_the_cutoff(h, P):
+    lo = rhs_product(AsymptoticQuery(2, 3, 3, h, 1, prime_cutoff=P), 2)
+    hi = rhs_product(AsymptoticQuery(2, 3, 3, h, 1, prime_cutoff=10**5), 2)
+    assert max(sympy.primefactors(lo.m)) > P
+    assert abs(hi.value - lo.value) <= lo.tail_bound * lo.value
+    assert hi.tail_bound < lo.tail_bound
+
+
 def test_rhs_nondividing_only_when_shift_is_power_free():
     # h squarefree and s >= 2 force m = 1: every factor is non-dividing
-    res = rhs_product(AsymptoticQuery(2, 3, 3, 30, 1, prime_cutoff=50))
+    res = rhs_product(AsymptoticQuery(2, 3, 3, 30, 1, prime_cutoff=50), 2)
     want = 1.0
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         want *= (1 - p**-5.0) * (1 - p**-5.0) - p**-10.0
@@ -291,7 +313,7 @@ def test_rhs_nondividing_only_when_shift_is_power_free():
 
 
 # ---------------------------------------------------------------------------
-# the joint-divisibility mean value C
+# the joint-divisibility mean value C: the product at level 1
 
 def _squarefree_divisors(primes):
     """(d, mu(d)) for every squarefree d built from the given primes."""
@@ -328,7 +350,7 @@ def test_joint_density_exact_over_finite_prime_sets():
 
 
 def test_joint_density_matches_hand_written_product():
-    res = joint_density_product(AsymptoticQuery(2, 4, 3, 12, 1, prime_cutoff=50))
+    res = rhs_product(AsymptoticQuery(2, 4, 3, 12, 1, prime_cutoff=50), 1)
     want = 1.0
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
         want *= 1 - p**-5.0 - p**-4.0 + (p**-8.0 if 12 % p == 0 else 0.0)
@@ -340,19 +362,16 @@ def test_joint_density_matches_hand_written_product():
 
 def test_joint_density_does_not_depend_on_s():
     # h = 4 with a = b = 4 admits s = 2 (m = 2) and s = 3 (m = 1): one sum,
-    # one mean value, but two values of the s-dependent product
-    c2 = joint_density_product(AsymptoticQuery(2, 4, 4, 4, 1))
-    c3 = joint_density_product(AsymptoticQuery(3, 4, 4, 4, 1))
-    assert c2 == c3
-    p2 = rhs_product(AsymptoticQuery(2, 4, 4, 4, 1)).value
-    p3 = rhs_product(AsymptoticQuery(3, 4, 4, 4, 1)).value
-    assert abs(p2 - p3) > 0.01
+    # one mean value, but two values of the level-s product
+    q2, q3 = AsymptoticQuery(2, 4, 4, 4, 1), AsymptoticQuery(3, 4, 4, 4, 1)
+    assert rhs_product(q2, 1) == rhs_product(q3, 1)
+    assert abs(rhs_product(q2, 2).value - rhs_product(q3, 3).value) > 0.01
 
 
 def test_joint_density_tail_bound_is_honest():
     # 97 divides h but lies above the low cutoff: the tail bound covers it
-    lo = joint_density_product(AsymptoticQuery(2, 3, 3, 2 * 97, 1, prime_cutoff=50))
-    hi = joint_density_product(AsymptoticQuery(2, 3, 3, 2 * 97, 1, prime_cutoff=10**5))
+    lo = rhs_product(AsymptoticQuery(2, 3, 3, 2 * 97, 1, prime_cutoff=50), 1)
+    hi = rhs_product(AsymptoticQuery(2, 3, 3, 2 * 97, 1, prime_cutoff=10**5), 1)
     assert abs(hi.value - lo.value) <= lo.tail_bound * lo.value
     assert hi.tail_bound < lo.tail_bound
 
@@ -360,8 +379,18 @@ def test_joint_density_tail_bound_is_honest():
 # ---------------------------------------------------------------------------
 # primes past _factor_cap: their float factor is exactly 1.0
 
+def uncapped(t, a, b, m, P):
+    """rhs_product's level-t loop over every prime up to P, where m is the
+    product's m: the primes p with p^t | h."""
+    value = 1.0
+    for p in primes_upto(P).tolist():
+        value *= (1.0 - 1.0 / p ** (t + a) - 1.0 / p ** (t + b)
+                  + (1.0 / p ** (t + a + b) if m % p == 0 else 0.0))
+    return value
+
+
 def uncapped_rhs(s, a, b, m, P):
-    """rhs_product's loop over every prime up to P."""
+    """The paper's unexpanded pair of factors over every prime up to P."""
     value = 1.0
     for p in primes_upto(P).tolist():
         base = (1.0 - 1.0 / p ** (s + a)) * (1.0 - 1.0 / p ** (s + b))
@@ -372,26 +401,26 @@ def uncapped_rhs(s, a, b, m, P):
     return value
 
 
-def uncapped_joint_density(a, b, h, P):
-    """joint_density_product's loop over every prime up to P."""
-    value = 1.0
-    for p in primes_upto(P).tolist():
-        factor = 1.0 - 1.0 / p ** (a + 1) - 1.0 / p ** (b + 1)
-        if h % p == 0:
-            factor += 1.0 / p ** (a + b + 1)
-        value *= factor
-    return value
-
-
 @pytest.mark.parametrize("s, a, b", [(2, 3, 4), (2, 5, 3), (3, 4, 6), (4, 4, 5)])
 def test_rhs_product_cap_keeps_every_bit(s, a, b):
     cap = _factor_cap(s + min(a, b), 10**6)
     for P in (cap - 1, cap, cap + 1, 10**5):
         for h in (12, 1, 6**s * 5):
-            got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P))
-            want = uncapped_rhs(s, a, b, got.m, P)
+            got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P), s)
+            want = uncapped(s, a, b, got.m, P)
             assert got.value.hex() == want.hex(), (P, h)
             assert got.prime_cutoff == P
+
+
+@pytest.mark.parametrize("s, a, b", [(2, 3, 3), (2, 3, 4), (2, 5, 3), (3, 4, 6), (4, 4, 5)])
+def test_level_s_product_is_the_papers_product_to_4_ulps(s, a, b):
+    # the expanded factor rounds differently from the paper's pair of
+    # factors; over the whole product the two differ by at most 2 ulps
+    for P in (1000, 10**5):
+        for h in (1, 12, 72, 1080, 6**s * 5, 2**9 * 3**3):
+            got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P), s).value
+            want = uncapped_rhs(s, a, b, shift_decompose(h, s)[0], P)
+            assert abs(got - want) <= 4 * math.ulp(want), (P, h)
 
 
 # s = 2, a = 3, b = 4: the cap is the prime 1783, and these m have a
@@ -401,8 +430,8 @@ def test_rhs_product_cap_keeps_every_bit(s, a, b):
                                   (4 * 99991**2, 10**5)])
 def test_rhs_product_cap_with_dividing_primes_above_it(h, P):
     assert _factor_cap(5, 10**5) == 1783
-    got = rhs_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P))
-    assert got.value.hex() == uncapped_rhs(2, 3, 4, got.m, P).hex()
+    got = rhs_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P), 2)
+    assert got.value.hex() == uncapped(2, 3, 4, got.m, P).hex()
 
 
 # a = 3, b = 4: the cap is 11586, between the primes 11579 and 11587
@@ -411,46 +440,45 @@ def test_rhs_product_cap_with_dividing_primes_above_it(h, P):
                                   (99991, 10**5), (1, 3 * 10**5)])
 def test_joint_density_cap_keeps_every_bit(h, P):
     assert _factor_cap(4, 10**5) == 11586
-    got = joint_density_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P))
-    assert got.value.hex() == uncapped_joint_density(3, 4, h, P).hex()
+    got = rhs_product(AsymptoticQuery(2, 3, 4, h, 1, prime_cutoff=P), 1)
+    assert got.value.hex() == uncapped(1, 3, 4, h, P).hex()
 
 
 def test_products_take_exponents_whose_powers_overflow_a_float():
-    # a = b = 29: 1.0 / p ** 62 cannot convert p ** 62 for p near 10^5,
-    # but the loops stop at the cap (4 here), far below such primes
+    # a = b = 29: the paper's 1.0 / p ** 62 cannot convert p ** 62 for p
+    # near 10^5, but the loops stop at the cap (4 here), far below such primes
     q = AsymptoticQuery(2, 29, 29, 12, 1)
-    assert _factor_cap(31, 10**5) == 4
-    assert rhs_product(q).value.hex() == uncapped_rhs(2, 29, 29, 2, 4).hex()
-    assert joint_density_product(q).value.hex() == uncapped_joint_density(29, 29, 12, 4).hex()
+    assert _factor_cap(31, 10**5) == _factor_cap(30, 10**5) == 4
+    assert rhs_product(q, 2).value.hex() == uncapped(2, 29, 29, 2, 4).hex()
+    assert rhs_product(q, 1).value.hex() == uncapped(1, 29, 29, 12, 4).hex()
     with pytest.raises(OverflowError):
         uncapped_rhs(2, 29, 29, 2, 10**5)
 
 
-# value.hex() and tail_bound.hex() recorded before both products shared
-# _euler_product: P = 1 (the empty product), P on either side of the cap
-# (1783 for P at (2, 3, 4), 11586 for C at a = 3, b = 4), and the prime
-# 97 of h above P for C
-@pytest.mark.parametrize("product, key, value, tail", [
-    (rhs_product, (2, 3, 4, 1, 1), '0x1.0000000000000p+0', '0x1.4c2531c3c0d38p-1'),
-    (rhs_product, (2, 3, 4, 12, 1782), '0x1.e61776d1de633p-1', '0x1.be9c4cdb4d624p-45'),
-    (rhs_product, (2, 3, 4, 12, 1783), '0x1.e61776d1de633p-1', '0x1.bd9c058e223fap-45'),
-    (rhs_product, (2, 3, 4, 12, 1784), '0x1.e61776d1de633p-1', '0x1.bc9c75f9e697cp-45'),
-    (rhs_product, (2, 3, 4, 12, 10**6), '0x1.e61776d1de633p-1', '0x1.357c299a88ea7p-81'),
-    (rhs_product, (3, 4, 6, 1080, 10**5), '0x1.facc3c2480746p-1', '0x1.b0b0ffe8fae2bp-102'),
-    (joint_density_product, (2, 3, 4, 12, 1), '0x1.0000000000000p+0', '0x1.e53d656f45818p-1'),
-    (joint_density_product, (2, 3, 4, 12, 11585), '0x1.c93cdcc8f90b9p-1',
-     '0x1.e2bf77942b311p-42'),
-    (joint_density_product, (2, 3, 4, 12, 11586), '0x1.c93cdcc8f90b9p-1',
-     '0x1.e29f7852368d1p-42'),
-    (joint_density_product, (2, 3, 4, 12, 11587), '0x1.c93cdcc8f90b9p-1',
-     '0x1.e27f7be418ba0p-42'),
-    (joint_density_product, (2, 3, 3, 194, 50), '0x1.b6f2c1d16c7a4p-1', '0x1.65ea369bfce0bp-18'),
-    (joint_density_product, (2, 3, 3, 194, 10**5), '0x1.b6f2a20e180f7p-1',
-     '0x1.804ea293472cap-51'),
-])
-def test_products_are_pinned_bit_for_bit(product, key, value, tail):
+# value.hex() and tail_bound.hex(): P = 1 (the empty product), P on either
+# side of the cap (1783 for P at (2, 3, 4), 11586 for C at a = 3, b = 4),
+# and the prime 97 of h above P for C.  The ids name each pin's constant
+# as they always have: rhs_product for P (level s), joint_density_product
+# for C (level 1)
+@pytest.mark.parametrize("level, key, value, tail", [
+    (2, (2, 3, 4, 1, 1), '0x1.0000000000000p+0', '0x1.4c2531c3c0d38p-1'),
+    (2, (2, 3, 4, 12, 1782), '0x1.e61776d1de633p-1', '0x1.be9c4cdb4d624p-45'),
+    (2, (2, 3, 4, 12, 1783), '0x1.e61776d1de633p-1', '0x1.bd9c058e223fap-45'),
+    (2, (2, 3, 4, 12, 1784), '0x1.e61776d1de633p-1', '0x1.bc9c75f9e697cp-45'),
+    (2, (2, 3, 4, 12, 10**6), '0x1.e61776d1de633p-1', '0x1.357c299a88ea7p-81'),
+    (3, (3, 4, 6, 1080, 10**5), '0x1.facc3c2480745p-1', '0x1.b0b0ffe8fae2bp-102'),
+    (1, (2, 3, 4, 12, 1), '0x1.0000000000000p+0', '0x1.e53d656f45818p-1'),
+    (1, (2, 3, 4, 12, 11585), '0x1.c93cdcc8f90b9p-1', '0x1.e2bf77942b311p-42'),
+    (1, (2, 3, 4, 12, 11586), '0x1.c93cdcc8f90b9p-1', '0x1.e29f7852368d1p-42'),
+    (1, (2, 3, 4, 12, 11587), '0x1.c93cdcc8f90b9p-1', '0x1.e27f7be418ba0p-42'),
+    (1, (2, 3, 3, 194, 50), '0x1.b6f2c1d16c7a4p-1', '0x1.65ea369bfce0bp-18'),
+    (1, (2, 3, 3, 194, 10**5), '0x1.b6f2a20e180f7p-1', '0x1.804ea293472cap-51'),
+], ids=lambda v: ("joint_density_product" if v == 1 else "rhs_product")
+   if type(v) is int else None)
+def test_products_are_pinned_bit_for_bit(level, key, value, tail):
     s, a, b, h, P = key
-    got = product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P))
+    assert level in (1, s)
+    got = rhs_product(AsymptoticQuery(s, a, b, h, 1, prime_cutoff=P), level)
     assert (got.value.hex(), got.tail_bound.hex()) == (value, tail)
 
 
@@ -495,7 +523,6 @@ def test_verify_report_structure():
         assert math.isfinite(rho) and rho > 0
     errs = [abs(rho - 1) for _, rho in rep.ratios]
     assert rep.converged == (errs[-1] < rep.tolerance and errs[-1] <= errs[-2])
-    assert rep.notes
 
 
 def test_verify_shift_reduction_recheck():
@@ -652,7 +679,7 @@ def test_general_main_term_leaves_the_crs_fast_cache_alone():
 def test_series_approaches_product():
     for s, a, b, h in [(2, 3, 3, 12), (2, 4, 3, 4)]:
         q = AsymptoticQuery(s, a, b, h, 1, prime_cutoff=10**5)
-        target = rhs_product(q).value
+        target = rhs_product(q, s).value
         fa, fb = expansion_coefficients(s, a, 100), expansion_coefficients(s, b, 100)
         diffs = [abs(general_main_term(fa[: R + 1], fb[: R + 1], s, h) - target)
                  for R in (5, 20, 100)]

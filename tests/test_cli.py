@@ -259,7 +259,7 @@ _OUT_OF_MEMORY = (
     ("expansion", "--s", "100000", "--k", "1", "--n", "2", "--Q", "10"),
     ("local-check", "--s", "4300", "--k", "1", "--n", "10", "--primes", "2"),
     ("expansion", "--s", str(10**8), "--k", "1", "--n", "6", "--Q", "1000"),
-    ("asymptotic", "--s", "600", "--a", "400", "--b", "400", "--h", "1", "--N", "10"),
+    ("asymptotic", "--s", "600", "--a", "500", "--b", "500", "--h", "1", "--N", "10"),
     ("asymptotic", "--s", "2", "--a", str(10**8), "--b", "3", "--h", "12", "--N", "1000"),
     ("asymptotic", "--s", "2", "--a", "3", "--b", "700", "--h", "1", "--N", "10"),
     ("expansion", "--s", "2", "--k", "1000", "--n", "6", "--Q", "10"),
@@ -306,6 +306,20 @@ def test_cold_commands_import_no_numpy_submodule():
     proc = subprocess.run([sys.executable, "-c", _IMPORTS_SCRIPT, *argvs],
                           capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines() == ["", ""]
+
+
+# the level-s factor needs p^(s+a+b) only at a prime of m and
+# p^(s + max(a, b)) elsewhere: 2^1000 for the first argv, inside the
+# float range; a prime of m above the cutoff (7 of m = 7 at P = 5) is
+# covered by the tail bound
+@pytest.mark.parametrize("argv", [
+    ("asymptotic", "--s", "600", "--a", "400", "--b", "400", "--h", "1", "--N", "10"),
+    ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "49", "--N", "10",
+     "--prime-cutoff", "5"),
+])
+def test_asymptotic_runs_at_the_edges_of_the_product(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "") and out
 
 
 def test_asymptotic_budget_covers_the_euler_product(capsys):

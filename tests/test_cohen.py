@@ -18,7 +18,6 @@ from cohenram.cohen import (
     crs_direct_spectrum,
     crs_divisor_sum,
     crs_fast,
-    crs_of_shift,
     evaluate,
     kvector_sum,
     shift_decompose,
@@ -163,10 +162,12 @@ def test_shift_decompose_is_the_unique_decomposition(h, s):
 
 
 def test_crs_of_shift_matches_direct_argument():
+    # the reduction c_r^s(h) = c_r^s(m^s) for h = m^s * k, k s-power-free
     for h in (1, 4, 12, 30, 72, 500):
         for s in (2, 3):
+            m, _ = shift_decompose(h, s)
             for r in range(1, 40):
-                assert crs_of_shift(r, s, h) == crs_fast(r, s, h)
+                assert crs_fast(r, s, h) == crs_fast(r, s, m**s)
 
 
 # ---------------------------------------------------------------------------

@@ -68,15 +68,15 @@ DIGESTS = {
     "sivaramakrishnan-csv":
         "30729c0b44814c8b71985e8fb6c9b531a15815b416ab1798d02677c59edaf36d",
     "asymptotic-plain":
-        "7e4b91fb4dd76631326312d64e98ad63f66f1c656715f1451e4660a7ec18aaec",
+        "dacb8df5a1ac34c3831145c315747faa366e14a4d531394c0de3357f56f2c074",
     "asymptotic-json":
-        "f36f2bc8634f2b76e6ae8f49fba22f0d95a3e89543f91cd99249935cd177d96e",
+        "3ce3d61e08a58da553c3b616ff648b41665e17d045364df1738d1abc5a560b4b",
     "asymptotic-csv":
         "6d392d04231894f62ba28da598a98442371a4118baf05a5efbbc166b1d95148d",
     "asymptotic-far-plain":
-        "0cda12cb1265f6f4ea69c1ebb0692ee8ce2c702debc35e3b39637c850fbd5556",
+        "f5423795fa81c840eaa35208a26f2946fcd38ca6850a97ab5afb833107198697",
     "asymptotic-far-json":
-        "4a9303287d19b47ec0f6dcfce5f9a82a06db193056bc93f6262cbfcd2aa363e3",
+        "f2758032ab8399ce971505b0a05651cbb350b557ac03e8ea3205c6ca40f663e9",
     "asymptotic-far-csv":
         "caacbff83bc7f5b442f345eeff64650833a4cf1b189bd8a3c5028097bed1135b",
     "main-term-plain":

@@ -1,10 +1,11 @@
 """Static checks on the package source, stdlib only: no module imports
 a name it never uses, every name exported through __all__ exists, every
-private top-level name is read somewhere in the package, and every memo
-is bounded."""
+private top-level name is read somewhere in the package, every memo
+is bounded, and every code name and test the README cites exists."""
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -184,3 +185,62 @@ def test_every_memo_is_bounded(module):
     # the lru_caches live for the whole process beside the budgeted tables,
     # so each one must state how many entries it may keep
     assert _unbounded_memos(ast.parse((SRC / f"{module}.py").read_text())) == []
+
+
+README = SRC.parent.parent / "README.md"
+TESTS = Path(__file__).parent
+# README names that are no attribute of a module: an environment
+# variable, the product of a prime set and a field of ExpansionReport
+README_NAMES_ALLOWED = {"COHENRAM_MEMORY_BUDGET", "Q_P", "final_abs_error"}
+
+
+def _test_names():
+    """The test functions of each tests/ file, keyed by file stem."""
+    return {path.stem: {n.name for n in ast.walk(ast.parse(path.read_text()))
+                        if isinstance(n, ast.FunctionDef) and n.name.startswith("test_")}
+            for path in TESTS.glob("test_*.py")}
+
+
+def _stale_readme_names(text, tests):
+    """Each tests/X.py::name in text that names no test of tests/X.py, and
+    each backticked snake_case identifier outside a code block that is no
+    attribute of a cohenram module (of the named one, when dotted) and no
+    test."""
+    stale = [f"tests/{stem}.py::{name}"
+             for stem, name in re.findall(r"tests/(\w+)\.py::(\w+)", text)
+             if name not in tests.get(stem, ())]
+    modules = [importlib.import_module(f"cohenram.{m}") for m in MODULES
+               if m not in ("__init__", "__main__")]
+    every_test = set().union(*tests.values())
+    for span in re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", text, flags=re.S)):
+        if ("_" not in span or not re.fullmatch(r"\w+(\.\w+)*", span)
+                or span in README_NAMES_ALLOWED):
+            continue
+        *path, name = span.split(".")
+        try:
+            owners = [importlib.import_module(".".join(["cohenram", *path]))] if path \
+                else [cohenram, *modules]
+        except ImportError:
+            owners = []
+        if not any(hasattr(owner, name) for owner in owners) and name not in every_test:
+            stale.append(span)
+    return stale
+
+
+@pytest.mark.parametrize("text, stale", [
+    ("`crs_fast` and `cli._fields`, `zeta` and `x_1`", ["x_1"]),
+    ("`asymptotics.crs_fast` and `arith.crs_fast`", ["arith.crs_fast"]),
+    ("`nowhere.crs_fast`, ```\n`x_1`\n``` and `Q_P`", ["nowhere.crs_fast"]),
+    ("tests/test_lint.py::test_orphan_check and tests/test_lint.py::test_gone",
+     ["tests/test_lint.py::test_gone"]),
+    ("`test_orphan_check` or `tests/test_nowhere.py::test_orphan_check`",
+     ["tests/test_nowhere.py::test_orphan_check"]),
+], ids=["names", "dotted", "code-block-and-allowed", "test-paths", "test-files"])
+def test_readme_name_check(text, stale):
+    assert _stale_readme_names(text, _test_names()) == stale
+
+
+def test_readme_names_exist():
+    # a name the README cites that nothing defines is left over from a
+    # rename or a deletion
+    assert _stale_readme_names(README.read_text(), _test_names()) == []
