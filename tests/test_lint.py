@@ -187,8 +187,8 @@ def test_every_memo_is_bounded(module):
     assert _unbounded_memos(ast.parse((SRC / f"{module}.py").read_text())) == []
 
 
-README = SRC.parent.parent / "README.md"
 TESTS = Path(__file__).parent
+README = TESTS.parent / "README.md"
 # README names that are no attribute of a module: an environment
 # variable, the product of a prime set and a field of ExpansionReport
 README_NAMES_ALLOWED = {"COHENRAM_MEMORY_BUDGET", "Q_P", "final_abs_error"}
@@ -217,11 +217,12 @@ def _stale_readme_names(text, tests):
                 or span in README_NAMES_ALLOWED):
             continue
         *path, name = span.split(".")
-        try:
-            owners = [importlib.import_module(".".join(["cohenram", *path]))] if path \
-                else [cohenram, *modules]
-        except ImportError:
-            owners = []
+        owners = [cohenram, *modules]
+        if path:
+            try:
+                owners = [importlib.import_module(".".join(["cohenram", *path]))]
+            except ImportError:
+                owners = []
         if not any(hasattr(owner, name) for owner in owners) and name not in every_test:
             stale.append(span)
     return stale
