@@ -42,7 +42,7 @@ class InternalAssertionError(ArithmeticError):
 
 
 class MemoryBudgetError(ValueError):
-    """A requested table would exceed the allowed memory budget."""
+    """A requested table would be charged more than _MEMORY_LIMIT bytes."""
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ def zeta_upper_bound(z: int, cutoff: int = 100) -> Fraction:
 # multiplicative tables
 
 _BLOCK = 1 << 16  # entries per block of a table build
-# entries of a table, or of its prime sieve, refused with no budget set:
+# entries of a table, or of its prime sieve, refused whatever its charge:
 # above every window _SIEVE_WORK_LIMIT admits at a, b <= 4 (N <= 4.22e8)
 _TABLE_LIMIT = 1 << 29
 _GROUP = 1 << 14  # (m, P) pairs per scatter group of a table build's large primes
@@ -499,14 +499,15 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order
-# bytes charged for the small objects of one budgeted call (array headers,
+# bytes charged for the small objects of one charged call (array headers,
 # closures, short lists), which no per-entry term counts: a few KB measured
 _CALL_BYTES = 1 << 14
 _ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
+_MEMORY_LIMIT = 2**32  # bytes one call may be charged: 4 GiB, a _TABLE_LIMIT float64 table
 
 
-def _check_budget(what: str, need: int, budget: int | None) -> None:
-    """Refuse with MemoryBudgetError when need bytes exceed a set budget."""
-    if budget is not None and need > budget:
+def _check_budget(what: str, need: int) -> None:
+    """Refuse with MemoryBudgetError when need bytes exceed _MEMORY_LIMIT."""
+    if need > _MEMORY_LIMIT:
         raise MemoryBudgetError(
-            f"{what}: ~{need} bytes needed, budget allows {budget}")
+            f"{what}: ~{need} bytes needed, over the {_MEMORY_LIMIT}-byte memory ceiling")

@@ -241,14 +241,13 @@ def _chunk_sum(seg: np.ndarray, bits: np.ndarray | None = None) -> float:
     return (sum(np.add.reduceat(y, np.arange(0, n, 2**11)).tolist()) + n * 2**52) / 2**53
 
 
-def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
-            ) -> list[tuple[int, float]]:
+def lhs_sum(query: AsymptoticQuery) -> list[tuple[int, float]]:
     """Checkpointed partial sums of J_a(n)/n^a * J_b(n+h)/(n+h)^b.
 
     The ratios come from float64 tables over the windows that are
     summed, about [1, N] and [h+1, h+N] (see _lhs_windows), one per
     distinct window, so their memory does not depend on h; _ratio_array
-    gives their error bound.  The budget counts 8 bytes per entry of
+    gives their error bound.  The charge counts 8 bytes per entry of
     each distinct window plus the temporaries of one block build or of
     one summation chunk, whichever is larger (see _lhs_plan, which also
     refuses a huge shift first).  Each chunk of at most _CHUNK products
@@ -260,8 +259,7 @@ def lhs_sum(query: AsymptoticQuery, *, memory_budget: int | None = None,
     """
     h, N = query.h, query.N
     wa, wb, tables, temps = _lhs_plan(query)
-    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]",
-                  tables + temps, memory_budget)
+    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]", tables + temps)
     ra = _ratio_array(*wa)
     rb = _ratio_array(*wb)
     shift = h - wb[1]  # n + h sits at index n + shift of rb
@@ -368,18 +366,18 @@ def _main_term_bytes(s: int, a: int, b: int, R: int) -> int:
             + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
 
 
-def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
-                      *, memory_budget: int | None = None) -> AsymptoticReport:
+def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> AsymptoticReport:
     """Assemble the full report: summation checkpoints, product, ratios.
 
     converged means the final |ratio - 1| is below tolerance and
     |ratio - 1| did not increase across the last two checkpoints.  The
     reduction c_r^s(h) = c_r^s(m^s) is re-verified for r <= 100 before
-    any heavy work.  The memory budget is checked next, against
-    _verify_bytes, before anything is built.
+    any heavy work, and _verify_bytes is charged next, before anything is
+    built.  The tolerance must be finite and positive: NaN has no JSON
+    form, and at infinity converged would ignore the ratio.
     """
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    if not 0 < tolerance < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     m, kfree = shift_decompose(query.h, query.s)
     for r in range(1, _CHECK_R + 1):
         if crs_fast(r, query.s, query.h) != crs_fast(r, query.s, m**query.s):
@@ -388,7 +386,7 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02,
 
     _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
                   f"{query.h + query.N}] and the Euler product to "
-                  f"P = {query.prime_cutoff}", _verify_bytes(query), memory_budget)
+                  f"P = {query.prime_cutoff}", _verify_bytes(query))
     checkpoints = tuple(lhs_sum(query))
     rhs = rhs_product(query, query.s)
     ratios = []

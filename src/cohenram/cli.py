@@ -7,15 +7,14 @@ Output is deterministic: the same invocation produces byte-identical
 bytes, JSON included.  Only this module knows the format: dispatch renders
 each command's Report, whose JSON comes from result fields, and adds "schema".
 
-Only one setting may come from the environment (COHENRAM_MEMORY_BUDGET);
-all scientific parameters must be spelled out as flags.
+Nothing is read from the environment: every parameter is a flag, and each
+table is charged against the fixed 4 GiB arith._MEMORY_LIMIT before it is built.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import sys
 from dataclasses import dataclass, field
@@ -55,16 +54,12 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     output: str = "plain"
-    memory_budget: int | None = None
 
 
 # command -> (help, {option: (int | float | str | choices, default, help)});
-# a default of ... marks a required option.  Only the commands that build
-# tables take a budget.
+# a default of ... marks a required option.
 _INT = (int, ..., "")
 _OUTPUT = {"output": (("plain", "json", "csv"), "plain", "report format")}
-_BUDGETED = {**_OUTPUT, "memory-budget": (int, None, "cap on table memory in bytes "
-                                          "(default COHENRAM_MEMORY_BUDGET or unlimited)")}
 _COMMANDS = {
     "sum": ("evaluate c_r^s(n) at r >= 1, s >= 1, n >= 0", {
         **dict.fromkeys("rsn", _INT), "evaluator": (
@@ -75,7 +70,7 @@ _COMMANDS = {
     "gcd-s": ("generalized gcd (m, n)_s, the largest l^s dividing both",
               {**dict.fromkeys("mns", _INT), **_OUTPUT}),
     "expansion": ("partial sums to Q of sum_q mu(q) c_q^s(n^s)/J_{s+k}(q) "
-                  "vs zeta(s+k) J_k(n)/n^k", {**dict.fromkeys("sknQ", _INT), **_BUDGETED}),
+                  "vs zeta(s+k) J_k(n)/n^k", {**dict.fromkeys("sknQ", _INT), **_OUTPUT}),
     "local-check": ("exact rational Euler-factor identity over a prime set", {
         **dict.fromkeys("skn", _INT), "primes": (
             str, ..., "comma-separated primes, e.g. 2,3,5 (empty string for none)"),
@@ -89,15 +84,15 @@ _COMMANDS = {
         **dict.fromkeys("sabhN", _INT), "prime-cutoff": (int, 10**5, ""),
         "tolerance": (float, 0.02, "largest accepted |ratio - 1|"),
         "emit-plot-data": (str, None, "also write ratio-vs-N to this path as two "
-                                      "whitespace-separated columns"), **_BUDGETED}),
+                                      "whitespace-separated columns"), **_OUTPUT}),
     "main-term": ("generic main-term series with the Jordan-ratio coefficients, compared "
                   "to the Euler product", {**dict.fromkeys("sabh", _INT), "R": (
                       int, ..., "series cutoff, and also the prime cutoff of the Euler "
-                      "product it is compared to"), **_BUDGETED}),
+                      "product it is compared to"), **_OUTPUT}),
     "repro-all": ("one-command reproduction: the full exact local-factor grid plus the "
                   "default shifted-convolution verification; exits 1 if any check fails",
                   {"N": (int, 10**6, "summation limit"), "prime-cutoff": (int, 10**5, ""),
-                   **_BUDGETED}),
+                   **_OUTPUT}),
 }
 
 
@@ -135,18 +130,8 @@ def parse_config(argv=None) -> RunConfig:
         raise ValueError(f"the following arguments are required: {missing}")
     params = {name.replace("-", "_"): given.get(name, spec[1])
               for name, spec in options.items()}
-    output, source = params.pop("output"), "--memory-budget"
-    budget = params.pop("memory_budget", None)
-    if budget is None and "memory-budget" in options:  # only the commands that build tables
-        source = "COHENRAM_MEMORY_BUDGET"
-        raw = os.environ.get(source, "")
-        try:
-            budget = int(raw) if raw else None
-        except ValueError:
-            raise ValueError(f"{source} must be an integer, got {raw!r}") from None
-    if budget is not None and budget < 1:
-        raise ValueError(f"{source} must be >= 1, got {budget}")
-    return RunConfig(command, params, output, budget)
+    output = params.pop("output")
+    return RunConfig(command, params, output)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +229,7 @@ def _run_gcd_s(config: RunConfig) -> Report:
 
 def _run_expansion(config: RunConfig) -> Report:
     p = config.params
-    return _expansion_report(expansion_partial_sum(
-        ExpansionQuery(p["s"], p["k"], p["n"], p["Q"]), memory_budget=config.memory_budget))
+    return _expansion_report(expansion_partial_sum(ExpansionQuery(p["s"], p["k"], p["n"], p["Q"])))
 
 
 def _parse_primes(raw: str) -> list[int]:
@@ -285,7 +269,7 @@ def _run_sivaramakrishnan(config: RunConfig) -> Report:
 def _run_asymptotic(config: RunConfig) -> Report:
     p = config.params
     query = AsymptoticQuery(p["s"], p["a"], p["b"], p["h"], p["N"], p["prime_cutoff"])
-    report = asymptotic_verify(query, p["tolerance"], memory_budget=config.memory_budget)
+    report = asymptotic_verify(query, p["tolerance"])
     if p.get("emit_plot_data"):
         with open(p["emit_plot_data"], "w") as fh:
             fh.write("".join(f"{n} {rho!r}\n" for n, rho in report.ratios))
@@ -296,8 +280,7 @@ def _run_main_term(config: RunConfig) -> Report:
     p = config.params
     s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
     query = AsymptoticQuery(s, a, b, h, 1, R)  # refuses bad hypotheses before any table
-    _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R),
-                  config.memory_budget)
+    _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R))
     product = rhs_product(query, s).value  # and exponents past the float range
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)
@@ -312,6 +295,9 @@ def _run_main_term(config: RunConfig) -> Report:
 
 def _run_repro_all(config: RunConfig) -> Report:
     p = config.params
+    # the asymptotic checks run first: a bad N, cutoff or charge is refused before the grid
+    reports = [asymptotic_verify(AsymptoticQuery(s, a, b, h, p["N"], p["prime_cutoff"]))
+               for s, a, b, h in _REPRO_ASYMPTOTIC]
     grid = [(s, k, n, subset) for s, k, n in product((1, 2, 3), (1, 2, 3), range(1, 31))
             for size in range(len(_REPRO_PRIMES) + 1)
             for subset in combinations(_REPRO_PRIMES, size)]
@@ -319,11 +305,9 @@ def _run_repro_all(config: RunConfig) -> Report:
                 for s, k, n, subset in grid if ne(*local_factor_exact(s, k, n, subset))]
     checks = [{"name": "local-factors-exact", "pass": not failures, "cases": len(grid),
                "first_failure": failures[0] if failures else None}]
-    for s, a, b, h in _REPRO_ASYMPTOTIC:
-        report = asymptotic_verify(AsymptoticQuery(s, a, b, h, p["N"], p["prime_cutoff"]),
-                                   memory_budget=config.memory_budget)
-        rho = report.ratios[-1][1]
-        checks.append({"name": f"asymptotic s={s} a={a} b={b} h={h}",
+    for report in reports:
+        q, rho = report.query, report.ratios[-1][1]
+        checks.append({"name": f"asymptotic s={q.s} a={q.a} b={q.b} h={q.h}",
                        "pass": report.converged, "final_ratio": rho,
                        "final_abs_error": abs(rho - 1.0), "tolerance": report.tolerance,
                        "N": p["N"], "prime_cutoff": p["prime_cutoff"]})

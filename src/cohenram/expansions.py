@@ -109,8 +109,7 @@ def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
     return multiplicative_table(Q, local)
 
 
-def expansion_partial_sum(query: ExpansionQuery, *,
-                          memory_budget: int | None = None) -> ExpansionReport:
+def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
     """Partial sums S_Q = sum_{q <= Q squarefree} mu(q) c_q^s(n^s) / J_{s+k}(q)
     against the target zeta(s+k) * J_k(n)/n^k.
 
@@ -118,7 +117,7 @@ def expansion_partial_sum(query: ExpansionQuery, *,
     multiplicative_table (see _expansion_terms for their error bound);
     each partial sum is one fsum over the table read in chunks of _CHUNK
     Python floats, correctly rounded whatever the chunking.  The table
-    and one chunk are checked against the budget first.
+    and one chunk are charged against the memory ceiling first.
     The convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)):
     terms decay like q^-(s+k) with an n-dependent constant.
     """
@@ -127,7 +126,7 @@ def expansion_partial_sum(query: ExpansionQuery, *,
         raise ValueError(f"n^s = {n}^{s} exceeds the 2^63 evaluation guard")
     # the table, one chunk of the Python floats fsum reads and the call's small objects
     _check_budget(f"expansion table to Q = {Q}",
-                  _table_bytes(Q) + 32 * min(Q, _CHUNK) + _CALL_BYTES, memory_budget)
+                  _table_bytes(Q) + 32 * min(Q, _CHUNK) + _CALL_BYTES)
     target = _target(s, k, n)
     terms = _expansion_terms(s, k, n, Q)
 

@@ -384,7 +384,7 @@ def test_cache_rejects_wide_entries():
 
 
 def test_table_guard_refuses_before_any_work():
-    # with no budget set, a window or a prime sieve of more than 2^29
+    # whatever its charge, a window or a prime sieve of more than 2^29
     # entries is refused before np.empty, primes_upto or local runs; a
     # short far window with a small cap still builds
     def local(p, e):

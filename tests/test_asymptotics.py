@@ -21,10 +21,11 @@ from cohenram.asymptotics import (
     lhs_sum,
     rhs_product,
 )
-from cohenram import asymptotics, cli
+from cohenram import arith, asymptotics, cli
 from cohenram.asymptotics import (
-    _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_windows, _ratio_array)
-from cohenram.arith import _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
+    _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_plan, _lhs_windows,
+    _ratio_array, _verify_bytes)
+from cohenram.arith import _MEMORY_LIMIT, _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
 
 
 def naive_lhs(a, b, h, N):
@@ -94,9 +95,11 @@ def test_lhs_matches_naive_factorization_loop():
         assert abs(got - want) <= 1e-9 * want, (a, b, h)
 
 
-def test_lhs_huge_shift():
+def test_lhs_huge_shift(monkeypatch):
     # the tables cover [1, 10] and a window at 10^12, not [0, 10^12 + 10]
-    got = lhs_sum(AsymptoticQuery(2, 3, 4, 10**12, 10), memory_budget=10**7)
+    with monkeypatch.context() as m:
+        m.setattr(arith, "_MEMORY_LIMIT", 10**7)
+        got = lhs_sum(AsymptoticQuery(2, 3, 4, 10**12, 10))
     want = naive_lhs(3, 4, 10**12, 10)
     assert got[0][0] == 10 and got[0][1] == pytest.approx(want, rel=1e-12)
     # no window sieves past _factor_cap, so a short sum runs at any shift
@@ -113,9 +116,17 @@ def test_lhs_huge_shift():
 def test_table_guard_admits_what_the_sieve_guard_admits(a, b, h):
     # at a, b in {3, 4} the sieving-work limit refuses every N whose
     # windows reach _TABLE_LIMIT entries (the work grows with N), so the
-    # table guard never refuses an N that limit admits there
+    # table guard never refuses an N that limit admits there; nor does the
+    # memory ceiling, which charges the longest admitted N at most 3.14 GiB
     def longest(N):
         return max(hi - lo + 1 for _, lo, hi in _lhs_windows(a, b, h, N))
+
+    def admitted(N):
+        try:
+            _lhs_plan(AsymptoticQuery(2, a, b, h, N))
+        except ValueError:
+            return False
+        return True
 
     lo, hi = 1, _TABLE_LIMIT
     while lo < hi:  # the least N with a window of _TABLE_LIMIT entries
@@ -124,17 +135,25 @@ def test_table_guard_admits_what_the_sieve_guard_admits(a, b, h):
     assert longest(lo) >= _TABLE_LIMIT > longest(lo - 1)
     with pytest.raises(ValueError, match="sieving steps"):
         lhs_sum(AsymptoticQuery(2, a, b, h, lo))
+    first, last = 1, lo
+    while first < last:  # the longest N the sieving-work limit admits
+        mid = (first + last + 1) // 2
+        first, last = (mid, last) if admitted(mid) else (first, mid - 1)
+    assert admitted(first) and not admitted(first + 1)
+    assert _verify_bytes(AsymptoticQuery(2, a, b, h, first)) <= _MEMORY_LIMIT
 
 
-def test_lhs_memory_budget():
-    with pytest.raises(MemoryBudgetError, match="budget"):
-        lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**6), memory_budget=1000)
+def test_lhs_memory_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 1000)
+    with pytest.raises(MemoryBudgetError, match="ceiling"):
+        lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**6))
 
 
-def test_lhs_budget_counts_float_tables():
+def test_lhs_budget_counts_float_tables(monkeypatch):
     # one float64 table on [0, 102400] plus one block build's temporaries
     # (larger than one summation chunk's products, hi and lo) is ~3.6 MB
-    got = lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**5), memory_budget=4_000_000)
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 4_000_000)
+    got = lhs_sum(AsymptoticQuery(2, 3, 3, 1, 10**5))
     assert got[-1][0] == 10**5
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cohenram import cli
+from cohenram import arith, cli
 from cohenram.arith import jordan, primes_upto
 from cohenram.asymptotics import AsymptoticQuery, asymptotic_verify
 from cohenram.cohen import RoundingAssertionError
@@ -143,11 +143,11 @@ def test_asymptotic_rejects_bad_hypotheses(capsys):
     assert code == 1 and "1 + s/2" in err
 
 
-def test_asymptotic_huge_shift_within_budget(capsys):
+def test_asymptotic_huge_shift_within_budget(capsys, monkeypatch):
     # the tables cover [1, 10] and a window at 10^12, so 100 MB is plenty
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 10**8)
     code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "4",
-                             "--h", str(10**12), "--N", "10",
-                             "--memory-budget", str(10**8), "--output", "json")
+                             "--h", str(10**12), "--N", "10", "--output", "json")
     assert (code, err) == (0, "")
     n, got = json.loads(out)["lhs_checkpoints"][-1]
     want = math.fsum(jordan(3, n) / n**3 * jordan(4, n + 10**12) / (n + 10**12) ** 4
@@ -178,16 +178,19 @@ def test_asymptotic_refuses_a_shift_too_large_to_sieve(capsys):
     ("expansion", "--s", "1", "--k", "1", "--n", "1", "--Q", "2000000"),
     ("main-term", "--s", "2", "--a", "3", "--b", "4", "--h", "12", "--R", "2000000"),
 ])
-def test_table_commands_respect_memory_budget(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--memory-budget", "1000")
-    assert code == 1 and out == "" and "budget" in err
-    # a budget that fits leaves the output as it is without one
+def test_table_commands_respect_memory_budget(capsys, monkeypatch, argv):
     small = (*argv[:-1], "500", "--output", "json")
-    assert run_cli(capsys, *small, "--memory-budget", str(10**8)) == run_cli(capsys, *small)
+    unlowered = run_cli(capsys, *small)
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 1000)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and "ceiling" in err
+    # a ceiling that fits leaves the output as it is at the default one
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 10**8)
+    assert run_cli(capsys, *small) == unlowered
 
 
 _CHARGE_SCRIPT = """
-import dataclasses, sys, tracemalloc
+import sys, tracemalloc
 from cohenram import arith, cli
 config = cli.parse_config(sys.argv[1:])
 run = cli._HANDLERS[config.command]
@@ -196,8 +199,9 @@ tracemalloc.start()
 run(config)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
-try:  # a charge of at least the peak refuses a budget one byte below it
-    run(dataclasses.replace(config, memory_budget=peak - 1))
+arith._MEMORY_LIMIT = peak - 1
+try:  # a charge of at least the peak refuses a ceiling one byte below it
+    run(config)
 except arith.MemoryBudgetError:
     print("refused", peak)
 else:
@@ -231,26 +235,31 @@ def _limit_address_space():
 
 # refused by the query's hypotheses before any table is built
 _HUGE_S = ("main-term", "--s", str(10**8), "--a", "3", "--b", "3", "--h", "12", "--R", "1000")
-# tables of 10^8 entries that the 1 GiB cannot hold
+# a table of 10^8 entries, charged 1.45 GiB, under the 4 GiB memory
+# ceiling, that the 1 GiB cannot hold
 _OUT_OF_MEMORY = (
     ("expansion", "--s", "2", "--k", "1", "--n", "6", "--Q", str(10**8)),
+)
+# charged over the 4 GiB memory ceiling: main-term at R = 10^8 (7.4 GiB)
+# and tables of 10^12 entries
+_OVER_CEILING = (
+    ("expansion", "--s", "2", "--k", "1", "--n", "2", "--Q", str(10**12)),
+    ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**12)),
     ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**8)),
 )
 
 
-# with no budget set: a divisor lattice over 17 and over 25 primes,
-# tables of 10^12 entries, direct sums over 12^(10^8) terms or 2^(10^8)
-# tuples, exact ints of 12^(10^8) or 2^(10^8), an n^s of 2^100000,
-# 10^4300 or 6^(10^8) and floats past 2^1024, each refused in one line
-# before the work; run under a 1 GiB address-space limit, where the work
-# would fail, as the 10^8-entry tables do, also in one line
+# a divisor lattice over 17 and over 25 primes, tables charged over the
+# memory ceiling, direct sums over 12^(10^8) terms or 2^(10^8) tuples,
+# exact ints of 12^(10^8) or 2^(10^8), an n^s of 2^100000, 10^4300 or
+# 6^(10^8) and floats past 2^1024, each refused in one line before the
+# work; run under a 1 GiB address-space limit, where the work would
+# fail, as the 10^8-entry expansion table does, also in one line
 @pytest.mark.parametrize("argv", [
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
      ",".join(map(str, primes_upto(59).tolist()))),
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes",
      ",".join(map(str, primes_upto(100).tolist()))),
-    ("expansion", "--s", "2", "--k", "1", "--n", "2", "--Q", str(10**12)),
-    ("main-term", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", str(10**12)),
     ("sum", "--r", "12", "--s", str(10**8), "--n", "7", "--evaluator", "direct"),
     ("sivaramakrishnan", "--s", str(10**8), "--k", "1", "--n", "2", "--R", "2"),
     ("sum", "--r", "12", "--s", str(10**8), "--n", "7"),
@@ -266,18 +275,19 @@ _OUT_OF_MEMORY = (
     ("sivaramakrishnan", "--s", "1", "--k", "1000", "--n", "6", "--R", "3"),
     ("main-term", "--s", "2", "--a", str(10**8), "--b", "3", "--h", "12", "--R", "1000"),
     _HUGE_S,
+    *_OVER_CEILING,
     *_OUT_OF_MEMORY,
 ])
 def test_oversized_inputs_are_refused_in_one_line(argv):
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    env.pop("COHENRAM_MEMORY_BUDGET", None)
     proc = subprocess.run([sys.executable, "-m", "cohenram", *argv], capture_output=True,
                           text=True, env=env, timeout=5, preexec_fn=_limit_address_space)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
-    word = "out of memory" if argv in _OUT_OF_MEMORY else "1 + s/2" if argv == _HUGE_S else "guard"
+    word = {**dict.fromkeys(_OUT_OF_MEMORY, "out of memory"),
+            **dict.fromkeys(_OVER_CEILING, "ceiling"), _HUGE_S: "1 + s/2"}.get(argv, "guard")
     assert word in proc.stderr
 
 
@@ -322,18 +332,19 @@ def test_asymptotic_runs_at_the_edges_of_the_product(capsys, argv):
     assert (code, err) == (0, "") and out
 
 
-def test_asymptotic_budget_covers_the_euler_product(capsys):
-    # at N = 10 the tables fit a 10^6 budget, and so does the product to
-    # P = 10^8, which visits only the primes to 1783
+def test_asymptotic_budget_covers_the_euler_product(capsys, monkeypatch):
+    # at N = 10 the tables fit under a 10^6-byte ceiling, and so does the
+    # product to P = 10^8, which visits only the primes to 1783
     argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "10",
             "--output", "json")
     far = (*argv, "--prime-cutoff", str(10**8))
+    want_far, want = run_cli(capsys, *far), run_cli(capsys, *argv)
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 10**6)
     t0 = time.perf_counter()
-    got = run_cli(capsys, *far, "--memory-budget", str(10**6))
+    got = run_cli(capsys, *far)
     assert time.perf_counter() - t0 < 1.0
-    assert got == run_cli(capsys, *far) and got[0] == 0
-    fits = (*argv, "--memory-budget", str(10**6))
-    assert run_cli(capsys, *fits) == run_cli(capsys, *argv)
+    assert got == want_far and got[0] == 0
+    assert run_cli(capsys, *argv) == want
 
 
 def test_asymptotic_huge_shift_skips_primes_past_the_cap(capsys):
@@ -379,35 +390,25 @@ def test_internal_assertion_exits_two(capsys, monkeypatch):
     assert "internal assertion failure" in err
 
 
-def test_env_overrides(capsys, monkeypatch):
+def test_environment_is_not_read(capsys, monkeypatch):
+    # the memory ceiling is a constant: a budget variable left in the
+    # environment changes nothing
     argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "1", "--N", "100000")
-    unbudgeted = run_cli(capsys, *argv)
+    monkeypatch.delenv("COHENRAM_MEMORY_BUDGET", raising=False)
+    unset = run_cli(capsys, *argv)
     monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "1000")
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1 and "budget" in err
-    # flags beat the environment
-    got = run_cli(capsys, *argv, "--memory-budget", str(10**8))
-    assert got == unbudgeted and got[0] == 0
+    assert run_cli(capsys, *argv) == unset and unset[0] == 0
 
 
-def test_env_budget_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", "zero")
-    code, _, err = run_cli(capsys, "expansion", "--s", "1", "--k", "1", "--n", "1",
-                           "--Q", "10")
-    assert code == 1 and "COHENRAM_MEMORY_BUDGET" in err
-    # commands that build no table neither read the environment nor take the flag
-    assert run_cli(capsys, "jordan", "--k", "1", "--n", "6") == (0, "2\n", "")
-
-
-@pytest.mark.parametrize("raw", ["0", "-5"])
-def test_env_budget_below_one_names_the_variable(capsys, monkeypatch, raw):
-    argv = ("expansion", "--s", "1", "--k", "1", "--n", "1", "--Q", "10")
-    monkeypatch.setenv("COHENRAM_MEMORY_BUDGET", raw)
-    assert run_cli(capsys, *argv) == (
-        1, "", f"error: COHENRAM_MEMORY_BUDGET must be >= 1, got {raw}\n")
-    # a bad flag is still named as the flag, which beats the environment
-    assert run_cli(capsys, *argv, "--memory-budget", "0") == (
-        1, "", "error: --memory-budget must be >= 1, got 0\n")
+# a NaN tolerance would print as NaN, which is not JSON, and at infinity
+# converged would not depend on the ratio
+@pytest.mark.parametrize("option", [("--tolerance", "nan"), ("--tolerance", "inf"),
+                                    ("--tolerance=-inf",)])
+def test_asymptotic_refuses_a_tolerance_that_is_not_finite(capsys, option):
+    code, out, err = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "3",
+                             "--h", "1", "--N", "100", "--output", "json", *option)
+    assert (code, out) == (1, "") and err.startswith("error:") and err.count("\n") == 1
+    assert "tolerance" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -445,12 +446,12 @@ def test_help_lists_every_command(capsys):
     ("sum", "r s n evaluator output"),
     ("jordan", "k n output"),
     ("gcd-s", "m n s output"),
-    ("expansion", "s k n Q output memory-budget"),
+    ("expansion", "s k n Q output"),
     ("local-check", "s k n primes output"),
     ("sivaramakrishnan", "s k n R output"),
-    ("asymptotic", "s a b h N prime-cutoff tolerance emit-plot-data output memory-budget"),
-    ("main-term", "s a b h R output memory-budget"),
-    ("repro-all", "N prime-cutoff output memory-budget"),
+    ("asymptotic", "s a b h N prime-cutoff tolerance emit-plot-data output"),
+    ("main-term", "s a b h R output"),
+    ("repro-all", "N prime-cutoff output"),
 ])
 def test_command_help_names_every_option(capsys, command, options):
     with pytest.raises(SystemExit) as exc:
@@ -471,6 +472,15 @@ def test_module_entry_point():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "3\n"
+
+
+def test_repro_all_refuses_a_bad_n_before_the_grid(capsys, monkeypatch):
+    def grid(*args):
+        raise AssertionError("the exact grid ran before N was checked")
+    monkeypatch.setattr(cli, "local_factor_exact", grid)
+    code, out, err = run_cli(capsys, "repro-all", "--N", "0")
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("error:") and "N must be >= 1" in err
 
 
 def test_repro_all_small(capsys, monkeypatch):

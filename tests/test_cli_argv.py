@@ -21,8 +21,7 @@ class _Refusing(argparse.ArgumentParser):
 
 
 def _reference_config(argv) -> cli.RunConfig:
-    """What an argparse parser built from the option table makes of argv,
-    with the budget rules of parse_config and no COHENRAM_MEMORY_BUDGET."""
+    """What an argparse parser built from the option table makes of argv."""
     top = _Refusing(prog="cohenram")
     sub = top.add_subparsers(dest="command", required=True)
     for command, (_, options) in cli._COMMANDS.items():
@@ -35,10 +34,7 @@ def _reference_config(argv) -> cli.RunConfig:
                 q.add_argument(f"--{name}", default=default, **how)
     ns = vars(top.parse_args(argv))
     command, output = ns.pop("command"), ns.pop("output")
-    budget = ns.pop("memory_budget", None)
-    if budget is not None and budget < 1:
-        raise ValueError(f"--memory-budget must be >= 1, got {budget}")
-    return cli.RunConfig(command, ns, output, budget)
+    return cli.RunConfig(command, ns, output)
 
 
 def _item(node) -> str:
@@ -104,9 +100,8 @@ EXTRA = [
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes="),
     ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes", "2", "--primes", "3,5"),
     ("jordan", "--k", "1", "--n", "6", "--n", "8", "--k", "2"),    # the last one wins
-    (*ASYMPTOTIC, "--output", "json", "--output", "csv", "--memory-budget", "9",
-     "--memory-budget=10"),
-    (*ASYMPTOTIC, "--memory-budget", "0"),
+    (*ASYMPTOTIC, "--output", "json", "--output", "csv", "--tolerance", "9",
+     "--tolerance=0.1"),
     (*ASYMPTOTIC, "--emit-plot-data", "ratio.dat", "--N", "20"),
     (*ASYMPTOTIC, "--emit-plot-data", "-x"),
     ("repro-all",),
@@ -138,8 +133,7 @@ def test_corpus_reaches_every_source():
 
 
 @pytest.mark.parametrize("form", [tuple, _joined])
-def test_parser_matches_argparse(capsys, monkeypatch, form):
-    monkeypatch.delenv("COHENRAM_MEMORY_BUDGET", raising=False)
+def test_parser_matches_argparse(capsys, form):
     valid = 0
     for argv in map(form, CORPUS):
         try:
@@ -156,13 +150,12 @@ def test_parser_matches_argparse(capsys, monkeypatch, form):
     assert valid >= 40
 
 
-def test_abbreviations_are_refused(capsys, monkeypatch):
-    monkeypatch.delenv("COHENRAM_MEMORY_BUDGET", raising=False)
-    argv = [*ASYMPTOTIC, "--mem", "100000", "--prime", "1000"]
+def test_abbreviations_are_refused(capsys):
+    argv = [*ASYMPTOTIC, "--tol", "0.5", "--prime", "1000"]
     want = _reference_config(argv)  # argparse expands unique prefixes
-    assert (want.memory_budget, want.params["prime_cutoff"]) == (100000, 1000)
+    assert (want.params["tolerance"], want.params["prime_cutoff"]) == (0.5, 1000)
     assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", "error: unrecognized argument for asymptotic: '--mem'\n")
+    assert capsys.readouterr() == ("", "error: unrecognized argument for asymptotic: '--tol'\n")
 
 
 # one valid argv per command; every refusal below is made from these
@@ -177,7 +170,6 @@ VALID = {
     "main-term": ("--s", "2", "--a", "3", "--b", "3", "--h", "12", "--R", "10"),
     "repro-all": ("--N", "10"),
 }
-TABLE_COMMANDS = {"expansion", "asymptotic", "main-term", "repro-all"}
 
 
 def _refusals(command):
@@ -192,8 +184,7 @@ def _refusals(command):
     yield "output-no-value", [*base, "--output"]
     if command == "sum":
         yield "bad-evaluator", [*base, "--evaluator", "fast"]
-    if command not in TABLE_COMMANDS:
-        yield "budget", [*base, "--memory-budget", "5"]
+    yield "budget", [*base, "--memory-budget", "5"]  # no command takes a budget
     yield "abbreviated", [*base, "--out", "json"]
 
 
@@ -216,4 +207,4 @@ def test_refusal_matrix_starts_from_valid_argvs():
     assert VALID.keys() == cli._COMMANDS.keys()
     for command, argv in VALID.items():
         assert cli.parse_config([command, *argv]).command == command
-    assert sum(i.endswith("-budget") for i, _ in MATRIX) == 5
+    assert sum(i.endswith("-budget") for i, _ in MATRIX) == 9

@@ -273,7 +273,7 @@ def test_crs_fast_cache_is_typed_and_bounded():
 def test_admissible_sets_are_not_retained():
     # crs_direct and crs_direct_spectrum build the admissible set on each
     # call; near the guard one set is 53-80 MB, so a memo of them would
-    # hold memory that no budget counts.  The guard-sized sets are built
+    # hold memory that no charge counts.  The guard-sized sets are built
     # through _admissible alone: crs_direct there makes 2e7 Python floats,
     # which take minutes to trace.
     tracemalloc.start()

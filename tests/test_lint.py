@@ -1,7 +1,8 @@
 """Static checks on the package source, stdlib only: no module imports
 a name it never uses, every name exported through __all__ exists, every
 private top-level name is read somewhere in the package, every memo
-is bounded, and every code name and test the README cites exists."""
+is bounded, nothing reads the environment, and every code name and test
+the README cites exists."""
 
 import ast
 import importlib
@@ -182,16 +183,45 @@ def test_unbounded_memo_check(source, bounded):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_every_memo_is_bounded(module):
-    # the lru_caches live for the whole process beside the budgeted tables,
+    # the lru_caches live for the whole process beside the charged tables,
     # so each one must state how many entries it may keep
     assert _unbounded_memos(ast.parse((SRC / f"{module}.py").read_text())) == []
 
 
+def _environment_reads(tree):
+    """Line numbers of every os.environ or os.getenv, and of every import
+    of either from os."""
+    names = {"environ", "environb", "getenv", "getenvb"}
+    return sorted(
+        {n.lineno for n in ast.walk(tree)
+         if isinstance(n, ast.Attribute) and n.attr in names
+         and isinstance(n.value, ast.Name) and n.value.id == "os"
+         or isinstance(n, ast.ImportFrom) and n.module == "os"
+         and any(alias.name in names for alias in n.names)})
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("import os\nx = os.environ.get('X', '')", True),
+    ("import os\nx = os.getenv('X')", True),
+    ("from os import environ", True),
+    ("import os\nx = os.path.join('a', 'b')", False),
+])
+def test_environment_read_check(source, reads):
+    assert bool(_environment_reads(ast.parse(source))) == reads
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_nothing_reads_the_environment(module):
+    # every limit is a constant and every parameter a flag, so the same
+    # argv gives the same bytes whatever the environment holds
+    assert _environment_reads(ast.parse((SRC / f"{module}.py").read_text())) == []
+
+
 TESTS = Path(__file__).parent
 README = TESTS.parent / "README.md"
-# README names that are no attribute of a module: an environment
-# variable, the product of a prime set and a field of ExpansionReport
-README_NAMES_ALLOWED = {"COHENRAM_MEMORY_BUDGET", "Q_P", "final_abs_error"}
+# README names that are no attribute of a module: the product of a prime
+# set and a field of ExpansionReport
+README_NAMES_ALLOWED = {"Q_P", "final_abs_error"}
 
 
 def _test_names():
