@@ -19,14 +19,12 @@ from .arith import (
     jordan,
     mobius,
     primes_upto,
-    tau,
     tau_s,
     zeta,
     zeta_upper_bound,
 )
 from .cohen import (
     CohenSumQuery,
-    CohenSumValue,
     RoundingAssertionError,
     crs_direct,
     crs_direct_spectrum,
@@ -60,9 +58,9 @@ __version__ = "0.1.0"
 __all__ = [
     "FactoredInteger", "InternalAssertionError", "MemoryBudgetError",
     "is_prime", "factorize", "divisors", "mobius", "jordan",
-    "generalized_gcd", "tau", "tau_s", "divisor_sigma", "zeta",
+    "generalized_gcd", "tau_s", "divisor_sigma", "zeta",
     "zeta_upper_bound", "primes_upto",
-    "CohenSumQuery", "CohenSumValue", "RoundingAssertionError",
+    "CohenSumQuery", "RoundingAssertionError",
     "crs_direct", "crs_direct_spectrum", "crs_divisor_sum", "crs_fast",
     "kvector_sum", "shift_decompose", "evaluate",
     "ExpansionQuery", "ExpansionReport", "expansion_partial_sum",

@@ -27,7 +27,6 @@ __all__ = [
     "mobius",
     "jordan",
     "generalized_gcd",
-    "tau",
     "tau_s",
     "divisor_sigma",
     "zeta",
@@ -220,15 +219,10 @@ def factorize(n: int) -> FactoredInteger:
     return FactoredInteger(n, tuple(_factor_backend(n)))
 
 
-def _coerce(n) -> FactoredInteger:
-    return n if isinstance(n, FactoredInteger) else factorize(n)
-
-
-def divisors(n) -> list[int]:
+def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors."""
-    fi = _coerce(n)
     out = [1]
-    for p, e in fi.factors:
+    for p, e in factorize(n).factors:
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
@@ -251,16 +245,16 @@ def _over_guard(r: int, s: int, limit: int) -> bool:
     return b >= L and (b - s >= L or r**s > limit)
 
 
-def mobius(n) -> int:
+def mobius(n: int) -> int:
     """Mobius mu: 1 at n=1, (-1)^omega(n) for squarefree n, else 0."""
-    fi = _coerce(n)
-    if any(e > 1 for _, e in fi.factors):
+    factors = factorize(n).factors
+    if any(e > 1 for _, e in factors):
         return 0
-    return -1 if len(fi.factors) % 2 else 1
+    return -1 if len(factors) % 2 else 1
 
 
 @lru_cache(maxsize=1 << 12, typed=True)
-def jordan(k: int, n) -> int:
+def jordan(k: int, n: int) -> int:
     """Jordan totient J_k(n) = n^k * prod_{p|n} (1 - p^-k), exactly.
 
     Computed as prod over prime powers p^e || n of (p^(ke) - p^(k(e-1))).
@@ -272,11 +266,11 @@ def jordan(k: int, n) -> int:
     """
     if k < 1:
         raise ValueError(f"jordan requires k >= 1, got {k}")
-    fi = _coerce(n)
-    if _over_guard(fi.value, k, _EXACT_LIMIT):  # J_k(n) < n^k
-        raise ValueError(f"jordan guard: n^k = {fi.value}^{k} has more than 14284 bits")
+    factors = factorize(n).factors  # refuses an n that is not an int
+    if _over_guard(n, k, _EXACT_LIMIT):  # J_k(n) < n^k
+        raise ValueError(f"jordan guard: n^k = {n}^{k} has more than 14284 bits")
     v = 1
-    for p, e in fi.factors:
+    for p, e in factors:
         v *= p ** (k * e) - p ** (k * (e - 1))
     return v
 
@@ -298,30 +292,24 @@ def generalized_gcd(m: int, n: int, s: int) -> int:
     return v
 
 
-def tau_s(s: int, n) -> int:
+def tau_s(s: int, n: int) -> int:
     """Number of divisors of n that are perfect s-th powers.
 
-    Equals prod over p^e || n of (floor(e/s) + 1); tau_s(n^s) = tau(n).
+    Equals prod over p^e || n of (floor(e/s) + 1); tau_s(1, n) is the
+    number of divisors, and tau_s(s, n^s) = tau_s(1, n).
     """
     if s < 1:
         raise ValueError(f"tau_s requires s >= 1, got {s}")
-    fi = _coerce(n)
     v = 1
-    for _, e in fi.factors:
+    for _, e in factorize(n).factors:
         v *= e // s + 1
     return v
 
 
-def tau(n) -> int:
-    """Number of divisors."""
-    return tau_s(1, n)
-
-
-def divisor_sigma(n) -> int:
+def divisor_sigma(n: int) -> int:
     """Sum of divisors sigma(n)."""
-    fi = _coerce(n)
     v = 1
-    for p, e in fi.factors:
+    for p, e in factorize(n).factors:
         v *= (p ** (e + 1) - 1) // (p - 1)
     return v
 
@@ -329,20 +317,20 @@ def divisor_sigma(n) -> int:
 # ---------------------------------------------------------------------------
 # Riemann zeta on integer arguments >= 2
 
+_ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
+
+
 @lru_cache(maxsize=64)
-def zeta(z: int, precision: float = 1e-12, cutoff: int | None = None) -> float:
-    """zeta(z) for integer z >= 2 to the requested absolute precision.
+def zeta(z: int) -> float:
+    """zeta(z) for integer z >= 2 to absolute precision _ZETA_PRECISION.
 
     Direct series sum_{n<=M} n^-z plus the Euler-Maclaurin tail
     M^(1-z)/(z-1) - M^-z/2; the first omitted term is ~ z*M^-(z+1)/12,
-    and M is chosen to push it below precision/2.
+    and M is chosen to push it below _ZETA_PRECISION/2.
     """
     if z < 2:
         raise ValueError(f"zeta requires integer z >= 2, got {z}")
-    if not 0 < precision <= 1e-2:
-        raise ValueError(f"unreasonable precision {precision}")
-    if cutoff is None:
-        cutoff = max(16, math.ceil((z / (3 * precision)) ** (1.0 / (z + 1))))
+    cutoff = max(16, math.ceil((z / (3 * _ZETA_PRECISION)) ** (1.0 / (z + 1))))
     head = math.fsum(n ** float(-z) for n in range(1, cutoff + 1))
     tail = cutoff ** (1.0 - z) / (z - 1) - cutoff ** float(-z) / 2.0
     return head + tail
@@ -502,7 +490,6 @@ _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction orde
 # bytes charged for the small objects of one charged call (array headers,
 # closures, short lists), which no per-entry term counts: a few KB measured
 _CALL_BYTES = 1 << 14
-_ZETA_PRECISION = 1e-12  # series truncation must dominate the error budget
 _MEMORY_LIMIT = 2**32  # bytes one call may be charged: 4 GiB, a _TABLE_LIMIT float64 table
 
 

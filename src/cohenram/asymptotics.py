@@ -41,7 +41,6 @@ from .arith import (
     _CALL_BYTES,
     _CHUNK,
     _FLOAT_LIMIT,
-    _ZETA_PRECISION,
     _check_budget,
     _over_guard,
     _prime_count_bound,
@@ -216,7 +215,7 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
     return wa, wb, tables, temps
 
 
-def _chunk_sum(seg: np.ndarray, bits: np.ndarray | None = None) -> float:
+def _chunk_sum(seg: np.ndarray, bits: np.ndarray) -> float:
     """The correctly rounded sum of at most _CHUNK float64 entries in
     [1/2, 1], bit for bit math.fsum's, from their IEEE bit patterns.
 
@@ -228,12 +227,11 @@ def _chunk_sum(seg: np.ndarray, bits: np.ndarray | None = None) -> float:
     guard, and it or a longer chunk raises InternalAssertionError.  Runs
     of 2^11 y's sum to at most 2^63, so no uint64 wraps, and the exact
     total over 2^53 is one correctly rounded int division.  The y's are
-    written to bits, a uint64 array of >= seg.size entries; without one
-    it is allocated, 8 bytes an entry.  An empty chunk sums to 0.0.
+    written to bits, a uint64 array of >= seg.size entries whose contents
+    are overwritten.  An empty chunk sums to 0.0.
     """
     n = seg.size
-    y = np.subtract(seg.view(np.uint64), 1022 << 52,
-                    out=np.empty(n, np.uint64) if bits is None else bits[:n])
+    y = np.subtract(seg.view(np.uint64), 1022 << 52, out=bits[:n])
     if n > _CHUNK or y.max(initial=0) > 2**52:
         raise InternalAssertionError(
             f"an exact chunk sum needs at most {_CHUNK} summands in [1/2, 1], "
@@ -443,6 +441,6 @@ def expansion_coefficients(s: int, power: int, R: int) -> np.ndarray:
         raise ValueError(f"s, power, R must be >= 1, got {(s, power, R)}")
     k = s + power
     out = multiplicative_table(R, lambda p, e: -1 / (p**k - 1) if e == 1 else 0.0)
-    out /= zeta(k, _ZETA_PRECISION)
+    out /= zeta(k)
     out.flags.writeable = False
     return out

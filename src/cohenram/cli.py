@@ -23,7 +23,7 @@ from itertools import combinations, product
 from operator import ne
 
 from .arith import InternalAssertionError, _check_budget, generalized_gcd, jordan
-from .cohen import CohenSumQuery, evaluate
+from .cohen import _EVALUATORS, CohenSumQuery, evaluate
 from .expansions import (
     ExpansionQuery,
     expansion_partial_sum,
@@ -63,7 +63,7 @@ _OUTPUT = {"output": (("plain", "json", "csv"), "plain", "report format")}
 _COMMANDS = {
     "sum": ("evaluate c_r^s(n) at r >= 1, s >= 1, n >= 0", {
         **dict.fromkeys("rsn", _INT), "evaluator": (
-            ("multiplicative", "divisor-sum", "direct"), "multiplicative",
+            tuple(_EVALUATORS), "multiplicative",
             "multiplicative, divisor-sum oracle, or literal direct sum (r^s <= 10^7)"),
         **_OUTPUT}),
     "jordan": ("evaluate J_k(n) at k >= 1, n >= 1", {**dict.fromkeys("kn", _INT), **_OUTPUT}),
@@ -82,9 +82,7 @@ _COMMANDS = {
         **_OUTPUT}),
     "asymptotic": ("shifted-convolution sum to N at shift h >= 1 vs truncated Euler product", {
         **dict.fromkeys("sabhN", _INT), "prime-cutoff": (int, 10**5, ""),
-        "tolerance": (float, 0.02, "largest accepted |ratio - 1|"),
-        "emit-plot-data": (str, None, "also write ratio-vs-N to this path as two "
-                                      "whitespace-separated columns"), **_OUTPUT}),
+        "tolerance": (float, 0.02, "largest accepted |ratio - 1|"), **_OUTPUT}),
     "main-term": ("generic main-term series with the Jordan-ratio coefficients, compared "
                   "to the Euler product", {**dict.fromkeys("sabh", _INT), "R": (
                       int, ..., "series cutoff, and also the prime cutoff of the Euler "
@@ -149,11 +147,6 @@ class Report:
     failure: str | None = None
 
 
-def _fields(report) -> dict:
-    """A report dataclass as its JSON object, one key per field."""
-    return vars(report)
-
-
 def _scalar_report(config: RunConfig, fields: dict, value) -> Report:
     return Report({"command": config.command, **fields, "value": value},
                   [[*fields, "value"], [*fields.values(), value]], [value])
@@ -162,7 +155,7 @@ def _scalar_report(config: RunConfig, fields: dict, value) -> Report:
 def _expansion_report(report) -> Report:
     t = report.target
     return Report(
-        _fields(report),
+        vars(report),
         [["Q", "partial_sum", "abs_error"],
          *([q, s, abs(s - t)] for q, s in report.partial_sums)],
         [f"target           {t!r}",
@@ -174,7 +167,7 @@ def _expansion_report(report) -> Report:
 def _asymptotic_report(report) -> Report:
     points = [(n, v, rho) for (n, v), (_, rho) in zip(report.lhs_checkpoints, report.ratios)]
     return Report(
-        _fields(report),
+        vars(report),
         [["N", "lhs", "N_times_rhs", "ratio"],
          *([n, v, n * report.rhs.value, rho] for n, v, rho in points)],
         [f"h = {report.query.h} = m^s * k with m={report.m}, k={report.k} "
@@ -209,9 +202,9 @@ def _run_help(config: RunConfig) -> Report:
 
 def _run_sum(config: RunConfig) -> Report:
     p = config.params
-    result = evaluate(CohenSumQuery(p["r"], p["s"], p["n"]), p["evaluator"])
+    value = evaluate(CohenSumQuery(p["r"], p["s"], p["n"]), p["evaluator"])
     return _scalar_report(config, {"r": p["r"], "s": p["s"], "n": p["n"],
-                                   "evaluator": result.evaluator}, result.value)
+                                   "evaluator": p["evaluator"]}, value)
 
 
 def _run_jordan(config: RunConfig) -> Report:
@@ -269,11 +262,7 @@ def _run_sivaramakrishnan(config: RunConfig) -> Report:
 def _run_asymptotic(config: RunConfig) -> Report:
     p = config.params
     query = AsymptoticQuery(p["s"], p["a"], p["b"], p["h"], p["N"], p["prime_cutoff"])
-    report = asymptotic_verify(query, p["tolerance"])
-    if p.get("emit_plot_data"):
-        with open(p["emit_plot_data"], "w") as fh:
-            fh.write("".join(f"{n} {rho!r}\n" for n, rho in report.ratios))
-    return _asymptotic_report(report)
+    return _asymptotic_report(asymptotic_verify(query, p["tolerance"]))
 
 
 def _run_main_term(config: RunConfig) -> Report:
@@ -347,7 +336,7 @@ def dispatch(config: RunConfig) -> int:
     report = handler(config)
     if config.output == "json":
         text = json.dumps({"schema": 1, **report.payload}, indent=2, sort_keys=True,
-                          default=_fields) + "\n"
+                          default=vars) + "\n"
     elif config.output == "csv":
         text = "".join(",".join(map(str, row)) + "\n" for row in report.rows)
     else:

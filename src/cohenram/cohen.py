@@ -24,7 +24,6 @@ from .arith import (
 
 __all__ = [
     "CohenSumQuery",
-    "CohenSumValue",
     "RoundingAssertionError",
     "DIRECT_TERM_GUARD",
     "crs_direct",
@@ -38,7 +37,6 @@ __all__ = [
 
 DIRECT_TERM_GUARD = 10**7
 _ROUND_TOL = 1e-6
-_EVALUATORS = ("direct", "divisor-sum", "multiplicative")
 
 
 class RoundingAssertionError(InternalAssertionError):
@@ -57,18 +55,6 @@ class CohenSumQuery:
     def __post_init__(self) -> None:
         if self.r < 1 or self.s < 1 or self.n < 0:
             raise ValueError(f"need r >= 1, s >= 1, n >= 0, got {self}")
-
-
-@dataclass(frozen=True)
-class CohenSumValue:
-    """An exact value of c_r^s(n) tagged with the route that produced it."""
-
-    value: int
-    evaluator: str
-
-    def __post_init__(self) -> None:
-        if self.evaluator not in _EVALUATORS:
-            raise ValueError(f"unknown evaluator tag {self.evaluator!r}")
 
 
 def _round_assert(re: float, im: float, context: str) -> int:
@@ -252,16 +238,18 @@ def kvector_sum(k: int, n: int, r: int) -> int:
     return _round_assert(re, im, f"kvector_sum(k={k}, n={n}, r={r})")
 
 
-def evaluate(query: CohenSumQuery, evaluator: str = "multiplicative") -> CohenSumValue:
-    """Evaluate a query with the chosen route and tag the result."""
-    fn = {"direct": crs_direct,
-          "divisor-sum": crs_divisor_sum,
-          "multiplicative": crs_fast}.get(evaluator)
+# evaluator name -> route, in the order the CLI offers them
+_EVALUATORS = {"multiplicative": crs_fast, "divisor-sum": crs_divisor_sum, "direct": crs_direct}
+
+
+def evaluate(query: CohenSumQuery, evaluator: str = "multiplicative") -> int:
+    """c_r^s(n) at the query by the route _EVALUATORS names."""
+    fn = _EVALUATORS.get(evaluator)
     if fn is None:
-        raise ValueError(f"unknown evaluator {evaluator!r}; pick one of {_EVALUATORS}")
+        raise ValueError(f"unknown evaluator {evaluator!r}; pick one of {', '.join(_EVALUATORS)}")
     value = fn(query.r, query.s, query.n)
     # every evaluator's guard has bounded r^s from bit lengths by now
     if abs(value) > query.r**query.s:
         raise InternalAssertionError(
             f"|c_r^s(n)| = {abs(value)} exceeds r^s for {query}")
-    return CohenSumValue(value, evaluator)
+    return value

@@ -27,7 +27,6 @@ from .arith import (
     _CALL_BYTES,
     _CHUNK,
     _FLOAT_LIMIT,
-    _ZETA_PRECISION,
     _check_budget,
     _over_guard,
     _table_bytes,
@@ -84,7 +83,7 @@ def _checkpoints(final: int) -> list[int]:
 
 def _target(s: int, k: int, n: int) -> float:
     """zeta(s+k) J_k(n)/n^k, refused where the quotient would overflow."""
-    z, j = zeta(s + k, _ZETA_PRECISION), jordan(k, n)
+    z, j = zeta(s + k), jordan(k, n)
     if _over_guard(n, k, _FLOAT_LIMIT):  # after jordan's own guard
         raise ValueError(f"the target needs n^k = {n}^{k}, past the 2^1024 float guard")
     return z * j / n**k
@@ -98,7 +97,12 @@ def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
     -1 otherwise, and J_{s+k}(p) = p^(s+k) - 1: the same ints crs_fast
     and jordan return, without factorizing p.
     Each entry is a product of omega(q) rounded factors, within
-    2 omega(q) 2^-53 relative of the exact value."""
+    2 omega(q) 2^-53 relative of the exact value.  Past s + k = 1140 no
+    p^(s+k) is built: |c_p^s(n^s)| < 2^63 under the n^s guard, so every
+    prime's value is below 2^64 / 2^1141 = 2^-1077, under half the least
+    subnormal 2^-1074, and rounds to zero."""
+    if s + k > 1140:
+        return multiplicative_table(Q, lambda p, e: 0.0)
 
     def local(p: int, e: int) -> float:
         if e > 1:

@@ -11,7 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import jordan, mobius, multiplicative_table, primes_upto, tau, zeta
+from cohenram.arith import jordan, mobius, multiplicative_table, primes_upto, tau_s, zeta
 from cohenram.cohen import crs_fast, shift_decompose
 from cohenram.asymptotics import (
     AsymptoticQuery,
@@ -218,27 +218,33 @@ def _edge_chunks():
     return cases + [rng.uniform(0.5, 1.0, n) for n in rng.integers(1, _CHUNK, 30)]
 
 
+def _filled_bits(size=_CHUNK):
+    """A uint64 buffer pre-filled with 2^64 - 1, above every bit offset
+    a summand in range has, so a stale entry that were read would show."""
+    return np.full(size, np.iinfo(np.uint64).max, np.uint64)
+
+
 def test_chunk_sum_matches_fsum_on_edge_chunks():
     cases = _edge_chunks()
     down, up = cases[:2]
-    assert _chunk_sum(down) == _CHUNK - 0.5
-    assert _chunk_sum(up) == _CHUNK - 0.5 + 2.0**-36
+    assert _chunk_sum(down, _filled_bits()) == _CHUNK - 0.5
+    assert _chunk_sum(up, _filled_bits()) == _CHUNK - 0.5 + 2.0**-36
     for seg in cases:
-        assert _chunk_sum(seg).hex() == _fsum_hex(seg), seg.size
+        assert _chunk_sum(seg, _filled_bits()).hex() == _fsum_hex(seg), seg.size
 
 
 def test_chunk_sum_into_a_buffer_matches_and_keeps_the_chunk():
     # one uint64 buffer, wider than most chunks and holding the last
     # chunk's bit offsets, as lhs_sum passes it
-    bits = np.full(_CHUNK, np.iinfo(np.uint64).max, np.uint64)
+    bits = _filled_bits()
     for seg in _edge_chunks():
         before = seg.copy()
-        assert _chunk_sum(seg, bits).hex() == _chunk_sum(seg).hex(), seg.size
+        assert _chunk_sum(seg, bits).hex() == _fsum_hex(seg), seg.size
         assert np.array_equal(seg, before), seg.size
 
 
 def test_chunk_sum_of_an_empty_chunk_is_zero():
-    for bits in (None, np.empty(_CHUNK, np.uint64)):
+    for bits in (_filled_bits(0), _filled_bits()):
         got = _chunk_sum(np.empty(0), bits)
         assert got.hex() == math.fsum([]).hex() == (0.0).hex()
 
@@ -248,7 +254,7 @@ def test_chunk_sum_of_an_empty_chunk_is_zero():
 def test_chunk_sum_refuses_summands_outside_its_range(bad):
     seg = np.full(100, 0.75)
     seg[37] = bad
-    for bits in (None, np.empty(_CHUNK + 1, np.uint64)):
+    for bits in (_filled_bits(_CHUNK + 1), np.zeros(_CHUNK + 1, np.uint64)):
         with pytest.raises(InternalAssertionError, match="needs at most"):
             _chunk_sum(seg, bits)
         with pytest.raises(InternalAssertionError, match="needs at most"):
@@ -710,5 +716,5 @@ def test_coefficient_envelope_bound():
     s, a = 2, 3
     fhat = expansion_coefficients(s, a, 499)
     for r in range(1, 500):
-        lhs = abs(fhat[r]) * r ** (s / 2) * tau(r)  # tau_s(r^s) = tau(r)
+        lhs = abs(fhat[r]) * r ** (s / 2) * tau_s(1, r)  # tau_s(s, r^s) = tau_s(1, r)
         assert lhs <= r ** (s / 2 - a) * (1 + 1e-12)

@@ -104,23 +104,22 @@ def test_sivaramakrishnan(capsys):
     assert json.loads(out)["query"] == {"s": 1, "k": 1, "n": 1, "Q": 200}
 
 
-def test_asymptotic_with_plot_data(capsys, tmp_path):
-    plot = tmp_path / "ratios.dat"
-    code, out, _ = run_cli(capsys, "asymptotic", "--s", "2", "--a", "3", "--b", "3",
-                           "--h", "12", "--N", "20000", "--prime-cutoff", "1000",
-                           "--emit-plot-data", str(plot), "--output", "json")
+def test_asymptotic_with_plot_data(capsys):
+    # the CSV's N and ratio columns are the plot data: the JSON ratios, as written
+    argv = ("asymptotic", "--s", "2", "--a", "3", "--b", "3", "--h", "12", "--N", "20000",
+            "--prime-cutoff", "1000")
+    code, out, _ = run_cli(capsys, *argv, "--output", "json")
     assert code == 0
     payload = json.loads(out)
     assert payload["m"] == 2 and payload["k"] == 3
-    rows = plot.read_text().strip().split("\n")
-    assert len(rows) == len(payload["ratios"]) == 2
-    n0, rho0 = rows[0].split()
-    assert int(n0) == 10**4
-    assert float(rho0) == payload["ratios"][0][1]
-    # one "N ratio" line per checkpoint, the ratio written by repr
+    code, out, _ = run_cli(capsys, *argv, "--output", "csv")
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.strip().split("\n")]
+    assert header[0] == "N" and header[-1] == "ratio"
+    assert len(rows) == len(payload["ratios"]) == 2 and int(rows[0][0]) == 10**4
+    assert [[int(n), float(rho)] for n, *_, rho in rows] == payload["ratios"]
     rep = asymptotic_verify(AsymptoticQuery(2, 3, 3, 12, 20000, prime_cutoff=1000))
-    assert len(rows) == len(rep.ratios)
-    assert rows[0].split() == [str(rep.ratios[0][0]), repr(rep.ratios[0][1])]
+    assert [[n, rho] for n, *_, rho in rows] == [[str(n), repr(rho)] for n, rho in rep.ratios]
 
 
 def test_asymptotic_csv(capsys):
@@ -449,7 +448,7 @@ def test_help_lists_every_command(capsys):
     ("expansion", "s k n Q output"),
     ("local-check", "s k n primes output"),
     ("sivaramakrishnan", "s k n R output"),
-    ("asymptotic", "s a b h N prime-cutoff tolerance emit-plot-data output"),
+    ("asymptotic", "s a b h N prime-cutoff tolerance output"),
     ("main-term", "s a b h R output"),
     ("repro-all", "N prime-cutoff output"),
 ])

@@ -1,16 +1,22 @@
 """The argv layer of the CLI: the option table's parser against an
-argparse parser built from the same table, and a refusal matrix that
-every command must pass before any work starts."""
+argparse parser built from the same table, a refusal matrix that
+every command must pass before any work starts, and a matrix of extreme
+option values that must finish or refuse in bounded memory and time."""
 
 import argparse
 import ast
 import importlib.util
+import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from cohenram import cli
+from cohenram.arith import is_prime
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -102,8 +108,8 @@ EXTRA = [
     ("jordan", "--k", "1", "--n", "6", "--n", "8", "--k", "2"),    # the last one wins
     (*ASYMPTOTIC, "--output", "json", "--output", "csv", "--tolerance", "9",
      "--tolerance=0.1"),
-    (*ASYMPTOTIC, "--emit-plot-data", "ratio.dat", "--N", "20"),
-    (*ASYMPTOTIC, "--emit-plot-data", "-x"),
+    (*ASYMPTOTIC, "--emit-plot-data", "ratio.dat", "--N", "20"),  # a removed option
+    ("local-check", "--s", "1", "--k", "1", "--n", "1", "--primes", "-x"),
     ("repro-all",),
     ("repro-all", "--N", "1_000"),                                 # int() takes underscores
     ("sum", "--r", " 2 ", "--s", "2", "--n", "4"),
@@ -201,10 +207,72 @@ def test_usage_errors_refuse_in_one_line(capsys, argv):
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    if "--memory-budget" in argv:  # the budget case names the option it refuses
+        assert "--memory-budget" in err
 
 
-def test_refusal_matrix_starts_from_valid_argvs():
+def test_refusal_matrix_starts_from_valid_argvs(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_REPRO_PRIMES", (2, 3))  # the reduced grid test_golden.py uses
     assert VALID.keys() == cli._COMMANDS.keys()
     for command, argv in VALID.items():
         assert cli.parse_config([command, *argv]).command == command
+        # every one runs; repro-all exits 1 by design, its checks against P fail
+        assert cli.main([command, *argv]) == (1 if command == "repro-all" else 0), command
+        assert capsys.readouterr().out
     assert sum(i.endswith("-budget") for i, _ in MATRIX) == 9
+
+
+# every integer option of every command set to each of these in turn
+EXTREMES = (0, -1, 2**63 - 1, 2**63 + 1, 10**12, 10**100)
+PRIMES_BELOW_100 = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+BIG_PRIMES = (2**32 - 5, 2**32 - 17)  # two primes whose product passes 2^63
+
+
+def _extreme_argvs():
+    """One valid argv per command with one option appended, so the last
+    occurrence sets it: every integer option at every value of EXTREMES,
+    and local-check's --primes at the 25 primes below 100 and at a pair
+    whose product is at least 2^63."""
+    for command, argv in VALID.items():
+        for name, (kind, _, _) in cli._COMMANDS[command][1].items():
+            if kind is int:
+                yield from ([command, *argv, f"--{name}", str(v)] for v in EXTREMES)
+    local = ["local-check", *VALID["local-check"]]
+    yield [*local, "--primes", ",".join(map(str, PRIMES_BELOW_100))]
+    yield [*local, "--primes", ",".join(map(str, BIG_PRIMES))]
+
+
+# runs every argv through cli.main in one interpreter under a 2 GiB
+# address-space limit; prints [exit code, stderr] per argv as JSON
+_EXTREMES_SCRIPT = """
+import contextlib, io, json, resource, sys
+from cohenram import cli
+cli._REPRO_PRIMES = (2, 3)  # the reduced grid test_golden.py uses
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+limit = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+out = []
+for argv in json.loads(sys.stdin.read()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    out.append([code, err.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_extreme_values_finish_or_refuse_in_one_line():
+    argvs = list(_extreme_argvs())
+    # 32 integer options across the nine commands, six values each, and two prime sets
+    assert len(argvs) == 32 * len(EXTREMES) + 2 and len(PRIMES_BELOW_100) == 25
+    assert all(map(is_prime, BIG_PRIMES)) and BIG_PRIMES[0] * BIG_PRIMES[1] >= 2**63
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _EXTREMES_SCRIPT], input=json.dumps(argvs),
+                          capture_output=True, text=True, env=env, timeout=60, check=True)
+    results = json.loads(proc.stdout)
+    assert len(results) == len(argvs)
+    for argv, (code, err) in zip(argvs, results):
+        assert code in (0, 1) and err.count("\n") <= 1, (argv, code, err)
+        assert (code == 0) == (err == ""), (argv, code, err)

@@ -102,6 +102,21 @@ def test_expansion_terms_at_primes_are_bit_identical():
             assert terms[p].hex() == want.hex(), (s, k, n, p)
 
 
+def test_expansion_terms_past_the_float_range_are_zero():
+    # past s + k = 1140 no p^(s+k) is built, and the exact quotient rounds
+    # to zero at every prime on either side of that line
+    primes = primes_upto(100).tolist()
+    for s, k in [(1, 1139), (1, 1140), (1100, 41), (63, 1100)]:
+        terms = _expansion_terms(s, k, 1, 100)
+        assert terms[1] == 1.0 and not terms[2:].any()
+        assert all(1 / jordan(s + k, p) == 0.0 for p in primes[:3]), (s, k)
+    start = time.perf_counter()
+    for s, k in [(10**12, 1), (1, 10**12), (1, 2**63 + 1)]:
+        rep = expansion_partial_sum(ExpansionQuery(s, k, 1, 10))
+        assert rep.partial_sums == ((10, 1.0),) and rep.target == 1.0
+    assert time.perf_counter() - start < 0.5
+
+
 def test_chunked_partial_sums_are_bit_identical():
     # fsum is correctly rounded, so reading the table in chunks gives the
     # sum of one whole list bit for bit; Q ends inside a fourth chunk
