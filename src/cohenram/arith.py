@@ -451,12 +451,13 @@ def _primes_bytes(limit: int) -> int:
     return limit + 1 + 8 * _prime_count_bound(limit)
 
 
-def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
+def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: bool = True) -> int:
     """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
     cap=cap) for an 8-byte dtype (float64, or object pointers): the
     output; the primes to cap; 176 bytes per sieving prime that can have
     a multiple in the window (its Python int, its list of local values,
-    its offsets in a block); one block's pattern scratch and 96 bytes per
+    its offsets in a block); one block's pattern scratch, unless local
+    is not patterned (local(p, e) = local(p, 1) at every e), and 96 bytes per
     sieving prime with a multiple in the block (that offset as a Python
     int); 88 bytes per large prime (its value, and the Python lists of
     ints and values it is built from); 104 bytes per cofactor (its run
@@ -482,14 +483,14 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None) -> int:
     sieving = _prime_count_bound(min(root, cap))
     large = _prime_count_bound(cap) if cap > root else 0
     cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
-    return (8 * entries + _primes_bytes(cap) + 176 * touching(entries) + 4 * (block + 1)
+    return (8 * entries + _primes_bytes(cap) + 176 * touching(entries) + 4 * (block + 1) * patterned
             + 96 * touching(block) + 88 * large + 104 * cofactors + 32 * min(_GROUP, entries))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order
 # bytes charged for the small objects of one charged call (array headers,
-# closures, short lists), which no per-entry term counts: a few KB measured
-_CALL_BYTES = 1 << 14
+# closures, short lists), which no per-entry term counts: up to 15 KB measured
+_CALL_BYTES = 20 << 10
 _MEMORY_LIMIT = 2**32  # bytes one call may be charged: 4 GiB, a _TABLE_LIMIT float64 table
 
 

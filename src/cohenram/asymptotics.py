@@ -50,7 +50,7 @@ from .arith import (
     primes_upto,
     zeta,
 )
-from .cohen import _crs_prime_power, crs_fast, shift_decompose
+from .cohen import _crs_prime_power, shift_decompose
 
 __all__ = [
     "AsymptoticQuery",
@@ -68,9 +68,6 @@ _BUCKET = 4096  # window ends are rounded to multiples of this
 # N up to about 2.9*10^8 with a small h; a window sieves no prime past
 # _factor_cap, so a short N runs at any h that factorize accepts
 _SIEVE_WORK_LIMIT = 10**7
-_CHECK_R = 100  # asymptotic_verify re-checks c_r^s(h) = c_r^s(m^s) for r <= this
-# bytes charged for each cache entry that check adds (about 200 measured)
-_ENTRY_BYTES = 256
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def _lhs_plan(query: AsymptoticQuery) -> tuple[tuple, tuple, int, int]:
             f"jordan tables for h = {h}, N = {N} need ~{work} (block, prime) "
             f"sieving steps, over the limit of {_SIEVE_WORK_LIMIT}")
     tables = sum(8 * (hi - lo + 1) for _, lo, hi in windows)
-    temps = max(16 * min(_CHUNK, N), *(_table_bytes(hi, lo, _factor_cap(k, hi))
+    temps = max(16 * min(_CHUNK, N), *(_table_bytes(hi, lo, _factor_cap(k, hi), patterned=False)
                                        - 8 * (hi - lo + 1) for k, lo, hi in windows))
     return wa, wb, tables, temps
 
@@ -343,16 +340,12 @@ def _verify_bytes(query: AsymptoticQuery) -> int:
     """Peak bytes asymptotic_verify charges: lhs_sum's tables, which its
     cache keeps alive while the product runs, plus the larger of their
     temporaries and the product's primes (_product_bytes), plus the
-    entries the reduction check adds to fresh crs_fast and factorize
-    caches (two crs_fast keys and one factorize key per r) and the
-    call's own small objects.  Entries already cached by earlier calls,
-    and factorize's table of trial primes, which grows on demand to at
-    most 78,498 primes (0.63 MB) and lives for the whole process, are
-    outside the charge."""
+    call's own small objects.  factorize's table of trial primes, which
+    grows on demand to at most 78,498 primes (0.63 MB) and lives for the
+    whole process, is outside the charge."""
     _, _, tables, temps = _lhs_plan(query)
     c = query.s + min(query.a, query.b)
-    return (tables + max(temps, _product_bytes(c, query.prime_cutoff))
-            + 3 * _CHECK_R * _ENTRY_BYTES + _CALL_BYTES)
+    return tables + max(temps, _product_bytes(c, query.prime_cutoff)) + _CALL_BYTES
 
 
 def _main_term_bytes(s: int, a: int, b: int, R: int) -> int:
@@ -368,20 +361,14 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> Asympt
     """Assemble the full report: summation checkpoints, product, ratios.
 
     converged means the final |ratio - 1| is below tolerance and
-    |ratio - 1| did not increase across the last two checkpoints.  The
-    reduction c_r^s(h) = c_r^s(m^s) is re-verified for r <= 100 before
-    any heavy work, and _verify_bytes is charged next, before anything is
-    built.  The tolerance must be finite and positive: NaN has no JSON
-    form, and at infinity converged would ignore the ratio.
+    |ratio - 1| did not increase across the last two checkpoints.
+    _verify_bytes is charged before anything is built.  The tolerance
+    must be finite and positive: NaN has no JSON form, and at infinity
+    converged would ignore the ratio.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
     m, kfree = shift_decompose(query.h, query.s)
-    for r in range(1, _CHECK_R + 1):
-        if crs_fast(r, query.s, query.h) != crs_fast(r, query.s, m**query.s):
-            raise InternalAssertionError(
-                f"c_r^s(h) != c_r^s(m^s) at r = {r} for h = {query.h}, s = {query.s}")
-
     _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
                   f"{query.h + query.N}] and the Euler product to "
                   f"P = {query.prime_cutoff}", _verify_bytes(query))

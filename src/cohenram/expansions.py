@@ -166,7 +166,7 @@ def _divisor_lattice(pset: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
     """(mu(q) J_sk(Q_P/q) for each q | Q_P in _divisor_lattice order,
     J_sk(Q_P), J_sk(p) for each p of pset, and their product): everything
-    in local_factor_exact that does not depend on n.  J_sk is read at
+    in _local_factor that does not depend on n.  J_sk is read at
     every complement, composite ones included."""
     _, mus, complements = _divisor_lattice(pset)
     weights = tuple(mu * jordan(sk, c) for mu, c in zip(mus, complements))
@@ -174,17 +174,30 @@ def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
     return weights, jordan(sk, complements[0]), jp, math.prod(jp)
 
 
-# one k-sweep of the repro-all grid, which visits s, then k, then n, then
-# P: 30 values of n times 64 prime sets; typed, as _jordan_row
+# the 1,128 (s, gcd(n, Q_P), P) rows of the repro-all grid; typed, as _jordan_row
 @lru_cache(maxsize=1 << 11, typed=True)
-def _crs_row(s: int, ns: int, pset: tuple[int, ...]) -> tuple:
-    """(c_q^s(ns) for each q | Q_P in _divisor_lattice order, and the
-    entries at the primes of pset): everything in local_factor_exact that
-    depends on n but not on k.  crs_fast is evaluated at every q,
-    composite ones included.  The i-th prime of pset sits at index 2^i
-    of the divisor lattice."""
-    crs = tuple(map(crs_fast, _divisor_lattice(pset)[0], repeat(s), repeat(ns)))
+def _crs_row(s: int, ds: int, pset: tuple[int, ...]) -> tuple:
+    """(c_q^s(ds) for each q | Q_P in _divisor_lattice order, and the
+    entries at the primes of pset): everything in _local_factor that
+    depends on n but not on k, read at ds = gcd(n, Q_P)^s.  crs_fast is
+    evaluated at every q, composite ones included.  The i-th prime of
+    pset sits at index 2^i of the divisor lattice."""
+    crs = tuple(map(crs_fast, _divisor_lattice(pset)[0], repeat(s), repeat(ds)))
     return crs, tuple(crs[1 << i] for i in range(len(pset)))
+
+
+# the 3,384 (s, k, gcd(n, Q_P), P) keys of the repro-all grid; typed, as _jordan_row
+@lru_cache(maxsize=1 << 12, typed=True)
+def _local_factor(s: int, k: int, d: int, pset: tuple[int, ...]) -> tuple[Fraction, Fraction]:
+    """local_factor_exact's (lhs, rhs) at every n with gcd(n, Q_P) = d."""
+    weights, jqp, jp, jp_prod = _jordan_row(s + k, pset)
+    crs, crs_at_p = _crs_row(s, d**s, pset)
+    lhs_num = sum(map(mul, weights, crs))
+    rhs_num = math.prod(map(sub, jp, crs_at_p))
+    lhs = Fraction(lhs_num, jqp)
+    if lhs_num == rhs_num and jqp == jp_prod:
+        return lhs, lhs
+    return lhs, Fraction(rhs_num, jp_prod)
 
 
 def local_factor_exact(s: int, k: int, n: int,
@@ -206,26 +219,32 @@ def local_factor_exact(s: int, k: int, n: int,
     equal, one normalised Fraction is built and returned as both sides;
     otherwise each side gets its own.
 
-    What does not depend on n is cached: the divisors q of Q_P with
-    mu(q) and Q_P/q (_divisor_lattice, 64 sets), and the weights
-    mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P), each J_{s+k}(p) and their
-    product (_jordan_row, 320 pairs of s + k and P).  What does not
-    depend on k is cached too: c_q^s(n^s) at every q | Q_P, composite q
-    included, and its entries at the primes (_crs_row, 2,048 triples of
-    s, n^s and P), so crs_fast runs once per (s, n^s, P), not once per
-    call.  The lhs is never derived from the per-prime factors of the
-    rhs; the rhs reads its prime values from the same row.  Every cache
-    is keyed by the sorted distinct primes, and every p is checked to be
-    an int before any is read: (2.0,) == (2,), so a float or bool
-    "prime" would otherwise be answered from its int twin's entry.
+    Both sides depend on n only through d = gcd(n, Q_P): by Cohen
+    (Duke Math. J. 16, 1949), c_q^s(m) depends on m only through
+    gcd(m, q^s), and gcd(n^s, q^s) = gcd(d, q)^s for every q | Q_P.  So
+    _local_factor computes the pair once per (s, k, d, P), reading
+    c_q^s(d^s) for c_q^s(n^s); the repro-all grid's 17,280 cases have
+    3,384 such keys.  Below it are cached what does not depend on n, the
+    divisors q of Q_P with mu(q) and Q_P/q (_divisor_lattice, 64 sets)
+    and the weights mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P), each
+    J_{s+k}(p) and their product (_jordan_row, 320 pairs of s + k and
+    P), and what does not depend on k, c_q^s(d^s) at every q | Q_P,
+    composite q included, with its entries at the primes (_crs_row; the
+    grid fills 1,128 rows).  The lhs is never derived from the per-prime
+    factors of the rhs; the rhs reads its prime values from the same
+    row.  s, k, n and every p are checked to be ints first: (2.0,) ==
+    (2,), so a float or bool would otherwise read its int twin's entry.
 
     P may hold at most 10 distinct primes (1,024 divisors) with a
     product Q_P < 2^63; anything larger is refused before a lattice is
-    built.  A row then holds at most 1,024 ints, each |c_q^s(n^s)| <= n^s
-    < 2^63 since q is squarefree, so the full row cache is at most
-    2,048 rows x 1,024 entries, about 92 MB; the repro-all grid fills
-    1,920 rows of at most 64 entries.
+    built.  So a row holds at most 1,024 ints, each |c_q^s(d^s)| <= d^s
+    <= n^s < 2^63, every J_{s+k} is below 2^14,284 (jordan's guard), and
+    the full caches hold at most about 6 MB (_divisor_lattice), 330 MB
+    (_jordan_row), 92 MB (_crs_row) and 34 MB (_local_factor, two
+    Fractions per entry), besides keys' s and k (unbounded at P = ()).
     """
+    if {type(s), type(k), type(n)} != {int}:
+        raise ValueError(f"s, k, n must be ints, got {(s, k, n)!r}")
     if min(s, k, n) < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
     pset = tuple(sorted(set(primes)))
@@ -239,16 +258,10 @@ def local_factor_exact(s: int, k: int, n: int,
     if qp >= 2**63:
         raise ValueError(f"the product of the primes ({qp.bit_length()} bits) "
                          "exceeds the 2^63 lattice guard")
-    weights, jqp, jp, jp_prod = _jordan_row(s + k, pset)
     if _over_guard(n, s, 2**63 - 1):
+        _jordan_row(s + k, pset)  # a non-prime or J_{s+k} past its guard is refused first
         raise ValueError(f"n^s = {n}^{s} exceeds the 2^63 evaluation guard")
-    crs, crs_at_p = _crs_row(s, n**s, pset)
-    lhs_num = sum(map(mul, weights, crs))
-    rhs_num = math.prod(map(sub, jp, crs_at_p))
-    lhs = Fraction(lhs_num, jqp)
-    if lhs_num == rhs_num and jqp == jp_prod:
-        return lhs, lhs
-    return lhs, Fraction(rhs_num, jp_prod)
+    return _local_factor(s, k, math.gcd(n, qp), pset)
 
 
 def local_factor_cases(s: int, k: int, p: int, n: int) -> Fraction:

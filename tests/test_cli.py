@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from cohenram import arith, cli
 from cohenram.arith import jordan, primes_upto
 from cohenram.asymptotics import AsymptoticQuery, asymptotic_verify
 from cohenram.cohen import RoundingAssertionError
-from cohenram.expansions import ExpansionQuery, expansion_partial_sum
+from cohenram.expansions import ExpansionQuery, expansion_partial_sum, local_factor_cases
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +96,36 @@ def test_local_check(capsys):
     code, _, err = run_cli(capsys, "local-check", "--s", "1", "--k", "1", "--n", "1",
                            "--primes", "2,9")
     assert code == 1 and "prime" in err
+
+
+def _unequal_sides(s, k, n, primes):
+    return Fraction(1), Fraction(2)
+
+
+def test_local_check_reports_unequal_sides(capsys, monkeypatch):
+    # equal is compared, not assumed
+    monkeypatch.setattr(cli, "local_factor_exact", _unequal_sides)
+    code, out, _ = run_cli(capsys, "local-check", "--s", "1", "--k", "1", "--n", "1",
+                           "--primes", "2", "--output", "json")
+    assert code == 0 and json.loads(out)["equal"] is False
+
+
+def test_local_check_refuses_a_wrong_case_factor(capsys, monkeypatch):
+    # equal sides whose closed-form factors disagree are an internal failure
+    def wrong_at_3(s, k, p, n):
+        return local_factor_cases(s, k, p, n) + (p == 3)
+
+    monkeypatch.setattr(cli, "local_factor_cases", wrong_at_3)
+    code, out, err = run_cli(capsys, "local-check", "--s", "2", "--k", "1", "--n", "6",
+                             "--primes", "2,3,5")
+    assert (code, out) == (2, "") and err.startswith("internal assertion failure")
+
+
+def test_repro_all_fails_on_unequal_sides(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_REPRO_PRIMES", (2, 3))
+    monkeypatch.setattr(cli, "local_factor_exact", _unequal_sides)
+    code, out, _ = run_cli(capsys, "repro-all", "--N", "10")
+    assert "local-factors-exact: FAIL (1080 cases)" in out and code == 1
 
 
 def test_sivaramakrishnan(capsys):

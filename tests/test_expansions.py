@@ -1,15 +1,16 @@
 import cmath
 import json
 import math
+import random
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from cohenram import cli, expansions
 from cohenram.arith import factorize, jordan, mobius, primes_upto, zeta
-from cohenram.cohen import crs_fast
+from cohenram.cohen import crs_direct_spectrum, crs_fast
 from cohenram.expansions import (
     _CHUNK,
     ExpansionQuery,
@@ -174,6 +175,7 @@ def test_local_factor_exact_matches_manual_sum():
 
 
 def _clear_local_factor_caches():
+    expansions._local_factor.cache_clear()
     expansions._crs_row.cache_clear()
     expansions._jordan_row.cache_clear()
     expansions._divisor_lattice.cache_clear()
@@ -230,25 +232,46 @@ def test_local_factor_exact_shares_the_crs_row_across_k(monkeypatch):
                                   for sub in combinations(pset, size))
 
 
-def test_local_factor_exact_rhs_is_the_closed_form_over_the_grid():
-    # a row read under the wrong (s, n^s, P) key keeps lhs == rhs, which is
-    # all criterion 1 checks; run the repro-all grid in its own order, so
-    # that rows are hit, and hold every rhs to the closed-form product
-    _clear_local_factor_caches()
+def test_crs_depends_on_n_only_through_its_gcd_with_q_p():
+    # Cohen's gcd property, which lets local_factor_exact key its results
+    # by gcd(n, Q_P): at every squarefree q | 30030, c_q^s(n^s) equals
+    # c_q^s(gcd(n, 30030)^s), and where q^s <= 10^6 both equal the literal
+    # exponential sum (crs_direct's sum, for every residue at once)
+    qs = [math.prod(sub) for size in range(7) for sub in combinations((2, 3, 5, 7, 11, 13), size)]
+    direct = 0
+    for q, s in product(qs, (1, 2, 3)):
+        spectrum = crs_direct_spectrum(q, s).tolist() if q**s <= 10**6 else None
+        for n in range(1, 61):
+            d = math.gcd(n, 30030)
+            assert crs_fast(q, s, n**s) == crs_fast(q, s, d**s), (q, s, n)
+            if spectrum:
+                assert spectrum[n**s % q**s] == spectrum[d**s % q**s] == crs_fast(q, s, d**s)
+        direct += spectrum is not None
+    assert direct == 139
+
+
+def test_local_factor_exact_grid_is_the_closed_form_in_any_order():
+    # a pair cached under too coarse a key, gcd(n, 2) in place of
+    # gcd(n, Q_P) say, keeps lhs == rhs, which is all criterion 1 checks,
+    # and depends on which n came first: run the repro-all grid forward,
+    # reversed and shuffled, each from cold caches, and hold every lhs
+    # and rhs to the closed-form product
     primes = (2, 3, 5, 7, 11, 13)
+    grid = [(s, k, n, subset) for s, k, n in product((1, 2, 3), (1, 2, 3), range(1, 31))
+            for size in range(len(primes) + 1) for subset in combinations(primes, size)]
     factor = {(s, k, p, n): local_factor_cases(s, k, p, n)
-              for s in (1, 2, 3) for k in (1, 2, 3) for p in primes for n in range(1, 31)}
-    cases = 0
-    for s in (1, 2, 3):
-        for k in (1, 2, 3):
-            for n in range(1, 31):
-                for size in range(len(primes) + 1):
-                    for subset in combinations(primes, size):
-                        want = math.prod((factor[s, k, p, n] for p in subset),
-                                         start=Fraction(1))
-                        assert local_factor_exact(s, k, n, subset)[1] == want, (s, k, n, subset)
-                        cases += 1
-    assert cases == 17280
+              for s, k, p, n in product((1, 2, 3), (1, 2, 3), primes, range(1, 31))}
+    closed = [math.prod((factor[s, k, p, n] for p in subset), start=Fraction(1))
+              for s, k, n, subset in grid]
+    shuffled = grid[:]
+    random.Random(2601).shuffle(shuffled)
+    texts = []
+    for order in (grid, grid[::-1], shuffled):
+        _clear_local_factor_caches()
+        got = {case: local_factor_exact(*case) for case in order}
+        assert [got[case] for case in grid] == [(want, want) for want in closed]
+        texts.append([tuple(map(str, got[case])) for case in grid])
+    assert len(grid) == 17280 and texts[0] == texts[1] == texts[2]
     assert expansions._crs_row.cache_info().hits > 0
 
 
@@ -261,7 +284,8 @@ def test_local_factor_exact_bounds_the_lattice():
         local_factor_exact(1, 1, 1, first[:11])
     with pytest.raises(ValueError, match="2\\^63 lattice guard"):
         local_factor_exact(1, 1, 1, [2**61 - 1, 5])
-    for cache in (expansions._divisor_lattice, expansions._jordan_row, expansions._crs_row):
+    for cache in (expansions._divisor_lattice, expansions._jordan_row, expansions._crs_row,
+                  expansions._local_factor):
         assert cache.cache_info().currsize == 0
     lhs, rhs = local_factor_exact(1, 1, 2, first[:10])
     assert lhs == rhs == math.prod(local_factor_cases(1, 1, p, 2) for p in first[:10])
@@ -302,9 +326,10 @@ def test_local_factor_exact_rejects_non_primes():
 
 
 def test_local_factor_exact_keys_are_typed():
-    # the caches are keyed by sorted prime tuples, and (2.0,) == (2,):
-    # a float or bool "prime" must be refused whether or not its int twin
-    # is cached, and a refusal must leave nothing behind
+    # the caches are keyed by s, k, gcd(n, Q_P) and sorted prime tuples,
+    # and 2.0 == True == 1 + 1: a float or bool s, k, n or "prime" must be
+    # refused whether or not its int twin is cached, and a refusal must
+    # leave nothing behind
     def closed_form(s, k, n, pset):
         return math.prod(local_factor_cases(s, k, p, n) for p in pset)
 
@@ -312,6 +337,11 @@ def test_local_factor_exact_keys_are_typed():
         for primes in ([2.0], [True], [2, 3.0], {2, 4}):
             with pytest.raises(ValueError, match="int|prime"):
                 local_factor_exact(1, 1, 1, primes)
+        for args in [(1.0, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (True, 1, 1), (1, True, 1),
+                     (1, 1, True), (1, 1, 6.0), (2, 1, 2**40 + 0.5)]:
+            with pytest.raises(ValueError, match="must be ints") as refusal:
+                local_factor_exact(*args, [2])
+            assert "\n" not in str(refusal.value)
 
     _clear_local_factor_caches()
     assert_refused()
