@@ -174,19 +174,21 @@ def _jordan_row(sk: int, pset: tuple[int, ...]) -> tuple:
     return weights, jordan(sk, complements[0]), jp, math.prod(jp)
 
 
-# the 1,128 (s, gcd(n, Q_P), P) rows of the repro-all grid; typed, as _jordan_row
+# the repro-all grid fills 1,128 rows; typed, as _jordan_row
 @lru_cache(maxsize=1 << 11, typed=True)
 def _crs_row(s: int, ds: int, pset: tuple[int, ...]) -> tuple:
     """(c_q^s(ds) for each q | Q_P in _divisor_lattice order, and the
     entries at the primes of pset): everything in _local_factor that
-    depends on n but not on k, read at ds = gcd(n, Q_P)^s.  crs_fast is
-    evaluated at every q, composite ones included.  The i-th prime of
-    pset sits at index 2^i of the divisor lattice."""
+    depends on n but not on k, read at ds = gcd(n, Q_P)^s, exact by
+    Cohen's gcd property (see local_factor_exact).  crs_fast is evaluated
+    at every q, composite ones included.  The i-th prime of pset sits at
+    index 2^i of the divisor lattice.  A row holds at most 1,024 ints
+    below 2^63, so the full cache at most about 92 MB."""
     crs = tuple(map(crs_fast, _divisor_lattice(pset)[0], repeat(s), repeat(ds)))
     return crs, tuple(crs[1 << i] for i in range(len(pset)))
 
 
-# the 3,384 (s, k, gcd(n, Q_P), P) keys of the repro-all grid; typed, as _jordan_row
+# the repro-all grid fills 3,384 entries; typed, as _jordan_row
 @lru_cache(maxsize=1 << 12, typed=True)
 def _local_factor(s: int, k: int, d: int, pset: tuple[int, ...]) -> tuple[Fraction, Fraction]:
     """local_factor_exact's (lhs, rhs) at every n with gcd(n, Q_P) = d."""
@@ -224,16 +226,14 @@ def local_factor_exact(s: int, k: int, n: int,
     gcd(m, q^s), and gcd(n^s, q^s) = gcd(d, q)^s for every q | Q_P.  So
     _local_factor computes the pair once per (s, k, d, P), reading
     c_q^s(d^s) for c_q^s(n^s); the repro-all grid's 17,280 cases have
-    3,384 such keys.  Below it are cached what does not depend on n, the
-    divisors q of Q_P with mu(q) and Q_P/q (_divisor_lattice, 64 sets)
-    and the weights mu(q) J_{s+k}(Q_P/q) with J_{s+k}(Q_P), each
-    J_{s+k}(p) and their product (_jordan_row, 320 pairs of s + k and
-    P), and what does not depend on k, c_q^s(d^s) at every q | Q_P,
-    composite q included, with its entries at the primes (_crs_row; the
-    grid fills 1,128 rows).  The lhs is never derived from the per-prime
-    factors of the rhs; the rhs reads its prime values from the same
-    row.  s, k, n and every p are checked to be ints first: (2.0,) ==
-    (2,), so a float or bool would otherwise read its int twin's entry.
+    3,384 such keys.  Below it are cached what does not depend on n
+    (_divisor_lattice, 64 prime sets, and _jordan_row, 320 pairs of
+    s + k and P) and what does not depend on k (_crs_row, 1,128 rows),
+    each at every q | Q_P, composite q included.  The lhs is never
+    derived from the per-prime factors of the rhs; the rhs reads its
+    prime values from the same row.  s, k, n and every p are checked to
+    be ints first: (2.0,) == (2,), so a float or bool would otherwise
+    read its int twin's entry.
 
     P may hold at most 10 distinct primes (1,024 divisors) with a
     product Q_P < 2^63; anything larger is refused before a lattice is

@@ -327,7 +327,7 @@ def test_local_factor_exact_rejects_non_primes():
 
 def test_local_factor_exact_keys_are_typed():
     # the caches are keyed by s, k, gcd(n, Q_P) and sorted prime tuples,
-    # and 2.0 == True == 1 + 1: a float or bool s, k, n or "prime" must be
+    # and 2.0 == 2, True == 1: a float or bool s, k, n or "prime" must be
     # refused whether or not its int twin is cached, and a refusal must
     # leave nothing behind
     def closed_form(s, k, n, pset):
