@@ -119,9 +119,10 @@ def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
 
     The terms are multiplicative in q and come from one
     multiplicative_table (see _expansion_terms for their error bound);
-    each partial sum is one fsum over the table read in chunks of _CHUNK
-    Python floats, correctly rounded whatever the chunking.  The table
-    and one chunk are charged against the memory ceiling first.
+    each partial sum is one fsum over the table's nonzero entries read in
+    chunks of _CHUNK: every non-squarefree q gives an exact 0, which adds
+    nothing to a correctly rounded sum.  The table and one chunk are
+    charged against the memory ceiling first.
     The convergence envelope is max(1e-3, 2*sigma(n)^s * Q^(1-s-k)):
     terms decay like q^-(s+k) with an n-dependent constant.
     """
@@ -136,8 +137,8 @@ def expansion_partial_sum(query: ExpansionQuery) -> ExpansionReport:
 
     partials = tuple(
         (c, math.fsum(chain.from_iterable(
-            terms[lo : min(lo + _CHUNK, c + 1)].tolist()
-            for lo in range(1, c + 1, _CHUNK))))
+            seg[seg != 0].tolist()
+            for seg in (terms[lo : min(lo + _CHUNK, c + 1)] for lo in range(1, c + 1, _CHUNK)))))
         for c in _checkpoints(Q))
     final_err = abs(partials[-1][1] - target)
     tol = max(1e-3, 2.0 * divisor_sigma(n) ** s * Q ** (1 - s - k))
@@ -202,6 +203,20 @@ def _local_factor(s: int, k: int, d: int, pset: tuple[int, ...]) -> tuple[Fracti
     return lhs, Fraction(rhs_num, jp_prod)
 
 
+@lru_cache(maxsize=1 << 7)  # the repro-all grid reads 64 tuples, each of ints only
+def _prime_set(primes: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The sorted distinct primes and their product, or a lattice refusal."""
+    pset = tuple(sorted(set(primes)))
+    if len(pset) > _LATTICE_PRIMES:
+        raise ValueError(f"{len(pset)} distinct primes exceed the lattice guard of "
+                         f"{_LATTICE_PRIMES} (2^{_LATTICE_PRIMES} divisors)")
+    qp = math.prod(pset)
+    if qp >= 2**63:
+        raise ValueError(f"the product of the primes ({qp.bit_length()} bits) "
+                         "exceeds the 2^63 lattice guard")
+    return pset, qp
+
+
 def local_factor_exact(s: int, k: int, n: int,
                        primes) -> tuple[Fraction, Fraction]:
     """Exact rational check of the Euler factorization over a finite
@@ -232,33 +247,30 @@ def local_factor_exact(s: int, k: int, n: int,
     each at every q | Q_P, composite q included.  The lhs is never
     derived from the per-prime factors of the rhs; the rhs reads its
     prime values from the same row.  s, k, n and every p are checked to
-    be ints first: (2.0,) == (2,), so a float or bool would otherwise
-    read its int twin's entry.
+    be ints first, each p before it is sorted or hashed: (2.0,) == (2,),
+    so a float or bool would otherwise read its int twin's entry in any
+    cache, _prime_set's of the sorted primes and Q_P included.
 
     P may hold at most 10 distinct primes (1,024 divisors) with a
     product Q_P < 2^63; anything larger is refused before a lattice is
     built.  So a row holds at most 1,024 ints, each |c_q^s(d^s)| <= d^s
     <= n^s < 2^63, every J_{s+k} is below 2^14,284 (jordan's guard), and
     the full caches hold at most about 6 MB (_divisor_lattice), 330 MB
-    (_jordan_row), 92 MB (_crs_row) and 34 MB (_local_factor, two
-    Fractions per entry), besides keys' s and k (unbounded at P = ()).
+    (_jordan_row), 92 MB (_crs_row), 34 MB (_local_factor, two
+    Fractions per entry) and 0.1 MB (_prime_set, 128 keys of at most 10
+    ints), besides keys' s and k (unbounded at P = ()).
     """
-    if {type(s), type(k), type(n)} != {int}:
+    if not (int is type(s) is type(k) is type(n)):
         raise ValueError(f"s, k, n must be ints, got {(s, k, n)!r}")
-    if min(s, k, n) < 1:
+    if s < 1 or k < 1 or n < 1:
         raise ValueError(f"s, k, n must be >= 1, got {(s, k, n)}")
-    pset = tuple(sorted(set(primes)))
-    for p in pset:
+    primes = tuple(primes)
+    for p in primes:
         if type(p) is not int:
             raise ValueError(f"primes must be ints, got {type(p).__name__} {p!r}")
-    if len(pset) > _LATTICE_PRIMES:
-        raise ValueError(f"{len(pset)} distinct primes exceed the lattice guard of "
-                         f"{_LATTICE_PRIMES} (2^{_LATTICE_PRIMES} divisors)")
-    qp = math.prod(pset)
-    if qp >= 2**63:
-        raise ValueError(f"the product of the primes ({qp.bit_length()} bits) "
-                         "exceeds the 2^63 lattice guard")
-    if _over_guard(n, s, 2**63 - 1):
+    # a longer input is deduplicated first, so no cached key holds more than 10 ints
+    pset, qp = _prime_set(primes if len(primes) <= _LATTICE_PRIMES else tuple(set(primes)))
+    if s * n.bit_length() >= 63 and _over_guard(n, s, 2**63 - 1):
         _jordan_row(s + k, pset)  # a non-prime or J_{s+k} past its guard is refused first
         raise ValueError(f"n^s = {n}^{s} exceeds the 2^63 evaluation guard")
     return _local_factor(s, k, math.gcd(n, qp), pset)

@@ -46,6 +46,10 @@ def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_exact_euler_factor_skeleton():
+    # lhs = rhs holds whatever Cohen's prime-power rule returns, since both
+    # sides read the same c_q^s values; the closed form of statement 1 over
+    # S, compared in integers, does not:
+    # rhs * prod_S (p^(s+k) - 1) = prod_{p | n} p^s (p^k - 1) * prod_{p not | n} p^(s+k)
     primes = (2, 3, 5, 7, 11, 13)
     cases = 0
     failures = []
@@ -55,11 +59,14 @@ def test_criterion_1_exact_euler_factor_skeleton():
                 for size in range(len(primes) + 1):
                     for subset in combinations(primes, size):
                         lhs, rhs = local_factor_exact(s, k, n, subset)
+                        num = math.prod(p**s * (p**k - 1) if n % p == 0 else p ** (s + k)
+                                        for p in subset)
+                        den = math.prod(p ** (s + k) - 1 for p in subset)
                         cases += 1
-                        if lhs != rhs:
+                        if lhs != rhs or rhs.numerator * den != num * rhs.denominator:
                             failures.append((s, k, n, subset))
     ok = not failures
-    _verdict(1, "exact Euler-factor identity", ok,
+    _verdict(1, "exact Euler-factor identity and closed form", ok,
              f"{cases} cases, zero tolerance")
     assert ok, f"exact identity failed at {failures[:3]}"
 

@@ -550,6 +550,20 @@ def test_verify_report_structure():
     assert rep.converged == (errs[-1] < rep.tolerance and errs[-1] <= errs[-2])
 
 
+@pytest.mark.parametrize("last_error, converged", [(0.004, False), (0.002, True)])
+def test_verify_converged_needs_a_non_increasing_error(monkeypatch, last_error, converged):
+    # both trajectories end under the tolerance, so only the "did not
+    # increase" clause decides: 0.003 -> 0.004 rises, 0.003 -> 0.002 falls
+    q = AsymptoticQuery(2, 3, 3, 12, 20000, prime_cutoff=1000)
+    C = rhs_product(q, q.s).value
+    checkpoints = [(10**4, 10**4 * C * 1.003), (20000, 20000 * C * (1 + last_error))]
+    monkeypatch.setattr(asymptotics, "lhs_sum", lambda query: checkpoints)
+    rep = asymptotic_verify(q, tolerance=0.02)
+    errs = [abs(rho - 1) for _, rho in rep.ratios]
+    assert max(errs) < rep.tolerance and (errs[1] > errs[0]) is not converged
+    assert rep.converged is converged
+
+
 def test_verify_shift_reduction_recheck():
     q = AsymptoticQuery(2, 3, 3, 72, 100, prime_cutoff=100)
     rep = asymptotic_verify(q)

@@ -9,11 +9,12 @@ from fractions import Fraction
 
 import pytest
 
-from cohenram import arith, cli
+from cohenram import arith, cli, cohen, expansions
 from cohenram.arith import jordan, primes_upto
 from cohenram.asymptotics import AsymptoticQuery, asymptotic_verify
 from cohenram.cohen import RoundingAssertionError
-from cohenram.expansions import ExpansionQuery, expansion_partial_sum, local_factor_cases
+from cohenram.expansions import (
+    ExpansionQuery, expansion_partial_sum, local_factor_cases, local_factor_exact)
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,36 @@ def test_repro_all_fails_on_unequal_sides(capsys, monkeypatch):
     monkeypatch.setattr(cli, "local_factor_exact", _unequal_sides)
     code, out, _ = run_cli(capsys, "repro-all", "--N", "10")
     assert "local-factors-exact: FAIL (1080 cases)" in out and code == 1
+
+
+def _clear_crs_caches():
+    cohen.crs_fast.cache_clear()
+    expansions._crs_row.cache_clear()
+    expansions._local_factor.cache_clear()
+
+
+def test_repro_all_fails_on_a_wrong_cohen_rule(capsys, monkeypatch):
+    # both sides of local_factor_exact read the same c_q^s values, so they
+    # stay equal under any prime-power rule; the closed form catches c_5^2
+    # off by one wherever 25 | m
+    rule = cohen._crs_prime_power
+
+    def off_at_5_squared(s, n, p, e):
+        return rule(s, n, p, e) + (p == 5 and s == 2 and e == 1 and n % 25 == 0)
+
+    monkeypatch.setattr(cli, "_REPRO_PRIMES", (2, 5))
+    _clear_crs_caches()
+    try:
+        code, out, _ = run_cli(capsys, "repro-all", "--N", "10")
+        assert "local-factors-exact: PASS (1080 cases)" in out and code == 1
+        monkeypatch.setattr(cohen, "_crs_prime_power", off_at_5_squared)
+        _clear_crs_caches()
+        assert local_factor_exact(2, 1, 5, (5,)) == (Fraction(99, 124),) * 2  # not 25/31
+        code, out, _ = run_cli(capsys, "repro-all", "--N", "10")
+        assert "local-factors-exact: FAIL (1080 cases)" in out and code == 1
+    finally:
+        monkeypatch.undo()
+        _clear_crs_caches()
 
 
 def test_sivaramakrishnan(capsys):

@@ -130,6 +130,27 @@ def test_chunked_partial_sums_are_bit_identical():
             assert got.hex() == math.fsum(terms[1 : c + 1].tolist()).hex()
 
 
+def test_partial_sums_are_the_fsum_of_every_term(monkeypatch):
+    # only the nonzero terms reach fsum; it is correctly rounded and an
+    # exact 0 adds nothing, so every checkpoint is the fsum of the whole
+    # slice bit for bit, at Q < 10, on the all-zero path past s + k = 1140,
+    # and over up to 47 chunks once _CHUNK is 64
+    rng = random.Random(2701)
+    queries = [ExpansionQuery(1141, 1, 1, 20), ExpansionQuery(2, 1, 6, 1)]
+    queries += [ExpansionQuery(rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 60),
+                               rng.randint(2, 9) if i % 4 == 0 else rng.randint(10, 3000))
+                for i in range(36)]
+    assert sum(q.Q < 10 for q in queries) >= 9
+    for chunk in (_CHUNK, 64):
+        monkeypatch.setattr(expansions, "_CHUNK", chunk)
+        for q in queries:
+            terms = _expansion_terms(q.s, q.k, q.n, q.Q)
+            for c, got in expansion_partial_sum(q).partial_sums:
+                want = math.fsum(terms[1 : c + 1].tolist())
+                assert got.hex() == want.hex(), (q, chunk, c)
+    assert expansion_partial_sum(queries[0]).partial_sums == ((10, 1.0), (20, 1.0))
+
+
 def test_overflow_guard_on_argument():
     with pytest.raises(ValueError, match="2\\^63"):
         expansion_partial_sum(ExpansionQuery(2, 1, 2**40, 10))
@@ -179,6 +200,7 @@ def _clear_local_factor_caches():
     expansions._crs_row.cache_clear()
     expansions._jordan_row.cache_clear()
     expansions._divisor_lattice.cache_clear()
+    expansions._prime_set.cache_clear()
 
 
 def test_local_factor_exact_evaluates_every_divisor(monkeypatch):
@@ -285,7 +307,7 @@ def test_local_factor_exact_bounds_the_lattice():
     with pytest.raises(ValueError, match="2\\^63 lattice guard"):
         local_factor_exact(1, 1, 1, [2**61 - 1, 5])
     for cache in (expansions._divisor_lattice, expansions._jordan_row, expansions._crs_row,
-                  expansions._local_factor):
+                  expansions._local_factor, expansions._prime_set):
         assert cache.cache_info().currsize == 0
     lhs, rhs = local_factor_exact(1, 1, 2, first[:10])
     assert lhs == rhs == math.prod(local_factor_cases(1, 1, p, 2) for p in first[:10])
@@ -320,6 +342,21 @@ def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
         assert rhs == closed_form(s, k, n)
 
 
+def test_local_factor_exact_guards_n_to_the_s_at_its_edge():
+    # the bit-length pre-check skips the guard only where n^s < 2^63 is
+    # certain: the largest n with n^s < 2^63 runs, the next is refused in
+    # one line, and a non-prime is named before that guard
+    for s, edge in ((1, 2**63 - 1), (2, math.isqrt(2**63 - 1)), (3, 2**21 - 1)):
+        assert edge**s < 2**63 <= (edge + 1) ** s
+        lhs, rhs = local_factor_exact(s, 1, edge, [2])
+        assert lhs == rhs == local_factor_cases(s, 1, 2, edge)
+        with pytest.raises(ValueError, match="exceeds the 2\\^63 evaluation guard") as refusal:
+            local_factor_exact(s, 1, edge + 1, [2])
+        assert "\n" not in str(refusal.value)
+        with pytest.raises(ValueError, match="4 is not prime"):
+            local_factor_exact(s, 1, edge + 1, [4])
+
+
 def test_local_factor_exact_rejects_non_primes():
     with pytest.raises(ValueError, match="prime"):
         local_factor_exact(1, 1, 1, {2, 4})
@@ -334,9 +371,11 @@ def test_local_factor_exact_keys_are_typed():
         return math.prod(local_factor_cases(s, k, p, n) for p in pset)
 
     def assert_refused():
-        for primes in ([2.0], [True], [2, 3.0], {2, 4}):
-            with pytest.raises(ValueError, match="int|prime"):
+        # a str, complex or list is refused before sorted or set can raise TypeError
+        for primes in ([2.0], [True], [2, 3.0], {2, 4}, [2, '3'], [2, 3 + 0j], [[2]]):
+            with pytest.raises(ValueError, match="int|prime") as refusal:
                 local_factor_exact(1, 1, 1, primes)
+            assert "\n" not in str(refusal.value)
         for args in [(1.0, 1, 1), (1, 1.0, 1), (1, 1, 1.0), (True, 1, 1), (1, True, 1),
                      (1, 1, True), (1, 1, 6.0), (2, 1, 2**40 + 0.5)]:
             with pytest.raises(ValueError, match="must be ints") as refusal:
