@@ -336,10 +336,14 @@ def test_local_factor_exact_reports_a_wrong_composite_value(monkeypatch):
 
     monkeypatch.setattr(expansions, "crs_fast", wrong_at_6)
     _clear_local_factor_caches()
-    for s, k, n in cases:
-        lhs, rhs = local_factor_exact(s, k, n, pset)
-        assert lhs != rhs
-        assert rhs == closed_form(s, k, n)
+    try:
+        for s, k, n in cases:
+            lhs, rhs = local_factor_exact(s, k, n, pset)
+            assert lhs != rhs
+            assert rhs == closed_form(s, k, n)
+    finally:  # the rows built from wrong_at_6 must not outlive it
+        monkeypatch.undo()
+        _clear_local_factor_caches()
 
 
 def test_local_factor_exact_guards_n_to_the_s_at_its_edge():
