@@ -8,7 +8,6 @@ sum_{n<=N} J_a(n)/n^a * J_b(n+h)/(n+h)^b.
 """
 
 from .arith import (
-    FactoredInteger,
     InternalAssertionError,
     MemoryBudgetError,
     divisor_sigma,
@@ -56,7 +55,7 @@ from .asymptotics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FactoredInteger", "InternalAssertionError", "MemoryBudgetError",
+    "InternalAssertionError", "MemoryBudgetError",
     "is_prime", "factorize", "divisors", "mobius", "jordan",
     "generalized_gcd", "tau_s", "divisor_sigma", "zeta",
     "zeta_upper_bound", "primes_upto",

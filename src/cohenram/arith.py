@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = [
-    "FactoredInteger",
     "InternalAssertionError",
     "MemoryBudgetError",
     "is_prime",
@@ -144,29 +142,6 @@ def _pollard_rho(n: int) -> int:
     raise InternalAssertionError(f"rho parameter sweep exhausted on {n}")
 
 
-@dataclass(frozen=True)
-class FactoredInteger:
-    """A positive integer together with its full prime factorization.
-
-    ``factors`` is ordered by increasing prime; ``value == 1`` iff it is
-    empty.
-    """
-
-    value: int
-    factors: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        prod = 1
-        prev = 0
-        for p, e in self.factors:
-            if p < 2 or p <= prev or e < 1:
-                raise ValueError(f"malformed factorization {self.factors!r}")
-            prev = p
-            prod *= p**e
-        if prod != self.value or self.value < 1:
-            raise ValueError(f"{self.factors!r} does not factor {self.value}")
-
-
 def _factor_backend(n: int) -> list[tuple[int, int]]:
     out = []
     m = n
@@ -201,8 +176,9 @@ def _factor_backend(n: int) -> list[tuple[int, int]]:
 
 
 @lru_cache(maxsize=1 << 17)
-def factorize(n: int) -> FactoredInteger:
-    """Unique prime factorization of n, 1 <= n < 2^63.
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The prime-power pairs (p, e) of n, 1 <= n < 2^63, by increasing p;
+    () for n = 1.
 
     Trial division by the sieved primes up to min(sqrt(n), 10^6), from
     one table that grows with the numbers asked for (_trial_primes), so
@@ -214,15 +190,16 @@ def factorize(n: int) -> FactoredInteger:
         raise ValueError(f"factorize expects an integer, got {type(n).__name__}")
     if not 1 <= n < _FACTOR_LIMIT:
         raise ValueError(f"factorize requires 1 <= n < 2^63, got {n}")
-    if n == 1:
-        return FactoredInteger(1, ())
-    return FactoredInteger(n, tuple(_factor_backend(n)))
+    factors = tuple(_factor_backend(n))
+    if math.prod(p**e for p, e in factors) != n:
+        raise InternalAssertionError(f"{factors!r} does not factor {n}")
+    return factors
 
 
 def divisors(n: int) -> list[int]:
     """Sorted list of positive divisors."""
     out = [1]
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         out = [d * p**i for d in out for i in range(e + 1)]
     return sorted(out)
 
@@ -247,7 +224,7 @@ def _over_guard(r: int, s: int, limit: int) -> bool:
 
 def mobius(n: int) -> int:
     """Mobius mu: 1 at n=1, (-1)^omega(n) for squarefree n, else 0."""
-    factors = factorize(n).factors
+    factors = factorize(n)
     if any(e > 1 for _, e in factors):
         return 0
     return -1 if len(factors) % 2 else 1
@@ -266,7 +243,7 @@ def jordan(k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError(f"jordan requires k >= 1, got {k}")
-    factors = factorize(n).factors  # refuses an n that is not an int
+    factors = factorize(n)  # refuses an n that is not an int
     if _over_guard(n, k, _EXACT_LIMIT):  # J_k(n) < n^k
         raise ValueError(f"jordan guard: n^k = {n}^{k} has more than 14284 bits")
     v = 1
@@ -287,7 +264,7 @@ def generalized_gcd(m: int, n: int, s: int) -> int:
     if s == 1:
         return g
     v = 1
-    for p, e in factorize(g).factors:
+    for p, e in factorize(g):
         v *= p ** (s * (e // s))
     return v
 
@@ -301,7 +278,7 @@ def tau_s(s: int, n: int) -> int:
     if s < 1:
         raise ValueError(f"tau_s requires s >= 1, got {s}")
     v = 1
-    for _, e in factorize(n).factors:
+    for _, e in factorize(n):
         v *= e // s + 1
     return v
 
@@ -309,7 +286,7 @@ def tau_s(s: int, n: int) -> int:
 def divisor_sigma(n: int) -> int:
     """Sum of divisors sigma(n)."""
     v = 1
-    for p, e in factorize(n).factors:
+    for p, e in factorize(n):
         v *= (p ** (e + 1) - 1) // (p - 1)
     return v
 

@@ -91,8 +91,8 @@ class AsymptoticQuery:
             if 2 * v <= 2 + self.s:
                 raise ValueError(
                     f"{name} = {v} violates {name} > 1 + s/2 = {1 + self.s / 2}")
-        if self.h < 1:
-            raise ValueError(f"shift h must be >= 1, got {self.h}")
+        if not 1 <= self.h < 2**63:  # factorize's range
+            raise ValueError(f"shift h must be in [1, 2^63), got {self.h}")
         if self.N < 1:
             raise ValueError(f"summation limit N must be >= 1, got {self.N}")
         if self.prime_cutoff < 1:
@@ -118,8 +118,6 @@ class AsymptoticReport:
     """Summation checkpoints, product value, and the ratio trajectory."""
 
     query: AsymptoticQuery
-    m: int
-    k: int
     lhs_checkpoints: tuple[tuple[int, float], ...]
     rhs: EulerProductResult
     ratios: tuple[tuple[int, float], ...]
@@ -368,7 +366,6 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> Asympt
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    m, kfree = shift_decompose(query.h, query.s)
     _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
                   f"{query.h + query.N}] and the Euler product to "
                   f"P = {query.prime_cutoff}", _verify_bytes(query))
@@ -382,8 +379,7 @@ def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> Asympt
         ratios.append((n, rho))
     errs = [abs(rho - 1.0) for _, rho in ratios]
     converged = errs[-1] < tolerance and (len(errs) < 2 or errs[-1] <= errs[-2])
-    return AsymptoticReport(query, m, kfree, checkpoints, rhs, tuple(ratios),
-                            tolerance, converged)
+    return AsymptoticReport(query, checkpoints, rhs, tuple(ratios), tolerance, converged)
 
 
 def _crs_table(R: int, s: int, h: int) -> np.ndarray:

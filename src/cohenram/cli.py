@@ -169,7 +169,7 @@ def _asymptotic_report(report) -> Report:
         vars(report),
         [["N", "lhs", "N_times_rhs", "ratio"],
          *([n, v, n * report.rhs.value, rho] for n, v, rho in points)],
-        [f"h = {report.query.h} = m^s * k with m={report.m}, k={report.k} "
+        [f"h = {report.query.h} = m^s * k with m={report.rhs.m}, k={report.rhs.k} "
          f"(s={report.query.s})",
          f"rhs product      {report.rhs.value!r} (P={report.rhs.prime_cutoff}, "
          f"tail bound {report.rhs.tail_bound!r})",
@@ -250,7 +250,8 @@ def _run_local_check(config: RunConfig) -> Report:
         [["lhs", "rhs", "equal", "cases_match"], [lhs, rhs, equal, cases_match]],
         [f"lhs         {lhs}", f"rhs         {rhs}", f"equal       {equal}",
          *(f"factor p={q:<4} {v}" for q, v in factors.items()),
-         f"cases_match {cases_match}"])
+         f"cases_match {cases_match}"],
+        failure=None if equal else f"local-check: lhs {lhs} != rhs {rhs}")
 
 
 def _run_sivaramakrishnan(config: RunConfig) -> Report:

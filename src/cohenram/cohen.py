@@ -77,7 +77,7 @@ def _admissible(r: int, s: int) -> np.ndarray:
     m = r**s
     mask = np.ones(m + 1, dtype=bool)
     mask[0] = False
-    for p, _ in factorize(r).factors:
+    for p, _ in factorize(r):
         mask[p**s :: p**s] = False
     return np.flatnonzero(mask).astype(np.int64, copy=False)
 
@@ -178,7 +178,7 @@ def crs_fast(r: int, s: int, n: int) -> int:
     """
     if r < 1 or s < 1 or n < 0:
         CohenSumQuery(r, s, n)  # raises the ValueError naming the arguments
-    factors = factorize(r).factors  # refuses an r that is not an int
+    factors = factorize(r)  # refuses an r that is not an int
     if _over_guard(r, s, _EXACT_LIMIT):
         raise ValueError(f"crs_fast guard: r^s = {r}^{s} has more than 14284 bits")
     v = 1
@@ -197,7 +197,7 @@ def shift_decompose(h: int, s: int) -> tuple[int, int]:
     if h < 1 or s < 1:
         raise ValueError(f"need h >= 1, s >= 1, got h={h}, s={s}")
     m = k = 1
-    for p, e in factorize(h).factors:
+    for p, e in factorize(h):
         m *= p ** (e // s)
         k *= p ** (e % s)
     return m, k

@@ -3,13 +3,14 @@ the Jordan totient ratio:
 
     J_k(n)/n^k * zeta(s+k) = sum_{q>=1} mu(q)/J_{s+k}(q) * c_q^s(n^s)
 
-for positive integers s, k, n.  Three routes are exercised:
+for positive integers s, k, n.  Two routes are exercised:
 
 * truncated partial sums of the series against the closed-form target;
 * the exact rational Euler-factor skeleton over a finite prime set,
-  where the restricted sum equals the finite product identically;
-* the k-vector variant sum_{r} mu(r)/J_{s+k}(r) * c^s(n, r), a slowly
-  converging classical identity checked as numeric evidence only.
+  where the restricted sum equals the finite product identically.
+
+sivaramakrishnan_check sums the same series with each c_q^s(n^s) taken
+as Cohen's s-vector sum c^s(n, q), an exponential sum equal to it.
 """
 
 from __future__ import annotations
@@ -294,11 +295,15 @@ def local_factor_cases(s: int, k: int, p: int, n: int) -> Fraction:
 
 
 def sivaramakrishnan_check(s: int, k: int, n: int, R: int) -> ExpansionReport:
-    """Evidence-grade check of the k-vector variant
+    """Statement 1's series with its terms from the s-vector sum
 
         J_k(n)/n^k * zeta(s+k) = sum_{r} mu(r)/J_{s+k}(r) * c^s(n, r)
 
-    via brute-force c^s(n, r) for r <= R.  The vector enumeration is
+    via brute-force c^s(n, r) for r <= R.  c^s(n, r) = c_r^s(n^s), both
+    sum_{e | (n, r)} mu(r/e) e^s, so this is expansion_partial_sum's
+    series term for term, not an independent identity; only the terms'
+    evaluator differs, the exponential sum instead of Cohen's
+    prime-power rule.  The vector enumeration is
     exponential in s, so R stays small and the acceptance envelope is a
     loose 10% relative error at the final cutoff.  The enumeration visits
     sum_{r <= R, mu(r) != 0} r^s tuples; that total is bounded by

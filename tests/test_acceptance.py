@@ -105,9 +105,15 @@ def test_criterion_3_cross_evaluator_exactness():
         for n in range(0, 51):
             if kvector_sum(1, n, r) != crs_fast(r, 1, n):
                 mismatches.append(("kvector", r, n))
+    # Cohen's s-vector sum is c_r^s at n^s: sum over e | (n, r) of mu(r/e) e^s
+    for s, top in ((2, 24), (3, 11)):
+        for r in range(1, top + 1):
+            for n in range(0, 40):
+                if kvector_sum(s, n, r) != crs_fast(r, s, n**s):
+                    mismatches.append(("kvector", s, r, n))
     ok = not mismatches
-    _verdict(3, "three evaluators + 1-vector sum agree", ok,
-             "r<=30, s<=3, n<=100 exhaustive, zero tolerance")
+    _verdict(3, "three evaluators + s-vector sums agree", ok,
+             "r<=30, s<=3, n<=100 exhaustive; s-vector at n^s, s<=3, n<40; zero tolerance")
     assert ok, mismatches[:5]
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from cohenram import arith
 from cohenram.arith import (
     _BLOCK,
-    FactoredInteger,
     _trial_primes,
     divisor_sigma,
     divisors,
@@ -38,21 +37,21 @@ M61 = 2**61 - 1
 # factorization
 
 def test_factorize_trivial():
-    assert factorize(1) == FactoredInteger(1, ())
-    assert factorize(12).factors == ((2, 2), (3, 1))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
 
 
 def test_factorize_mersenne_prime():
     # oracle: an independent deterministic primality test
     assert sympy.isprime(M61)
-    assert factorize(M61).factors == ((M61, 1),)
+    assert factorize(M61) == ((M61, 1),)
 
 
 def test_factorize_large_semiprime_needs_rho():
     p, q = 10**9 + 7, 10**9 + 9
     assert sympy.isprime(p) and sympy.isprime(q)
-    assert factorize(p * q).factors == ((p, 1), (q, 1))
-    assert factorize(p * p).factors == ((p, 2),)
+    assert factorize(p * q) == ((p, 1), (q, 1))
+    assert factorize(p * p) == ((p, 2),)
 
 
 def test_factorize_rejects_out_of_range():
@@ -79,7 +78,7 @@ def test_factorize_across_the_trial_limit():
     sample = [2, 999_983, 999_983**2, 2**5 * 999_983, 3 * p, p * q, p * p,
               2 * 3 * p * q, 999_983 * p, 10**6, 10**12 + 39, 2**62 - 57]
     for n in sample:
-        assert dict(factorize(n).factors) == sympy.factorint(n), n
+        assert dict(factorize(n)) == sympy.factorint(n), n
 
 
 def _fresh_python(script, *args):
@@ -95,7 +94,7 @@ _GROWTH_SCRIPT = """
 import json, sys
 from cohenram import arith
 assert arith._trial[0] == 0 and not arith._trial[1]  # a fresh process starts empty
-out = [[n, arith.factorize(n).factors, arith._trial[0]] for n in map(int, sys.argv[1:])]
+out = [[n, arith.factorize(n), arith._trial[0]] for n in map(int, sys.argv[1:])]
 assert arith._trial[1].tolist() == arith.primes_upto(arith._trial[0]).tolist()
 print(json.dumps(out))
 """
@@ -142,14 +141,22 @@ def test_far_shift_sieves_few_trial_primes():
 
 def test_factorize_matches_sympy_on_a_block():
     for n in range(1, 2000):
-        assert factorize(n).factors == tuple(sorted(sympy.factorint(n).items()))
+        assert factorize(n) == tuple(sorted(sympy.factorint(n).items()))
 
 
-def test_factored_integer_invariants_enforced():
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((3, 1), (2, 2)))  # primes out of order
-    with pytest.raises(ValueError):
-        FactoredInteger(12, ((2, 1), (3, 1)))  # product mismatch
+def test_factorize_refuses_a_wrong_factorization(monkeypatch):
+    # a backend whose pairs do not multiply back to n is a bug, not bad
+    # input; n is used by no other test, so it is not in the cache
+    n, calls = 2**59 + 2**31 + 7, []
+
+    def wrong(m):
+        calls.append(m)
+        return [(2, 1), (m // 2, 1)]
+
+    monkeypatch.setattr(arith, "_factor_backend", wrong)
+    with pytest.raises(arith.InternalAssertionError, match="does not factor"):
+        factorize(n)
+    assert calls == [n]
 
 
 def test_is_prime_against_sympy():
@@ -387,7 +394,7 @@ def test_table_guard_refuses_before_any_work():
             multiplicative_table(limit, local, **window)
     mu = multiplicative_table(10**12 + 10, lambda p, e: -1 if e == 1 else 0, np.int8,
                               lo=10**12, cap=1000)
-    assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n).factors if p <= 1000))
+    assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n) if p <= 1000))
                            for n in range(10**12, 10**12 + 11)]
 
 
@@ -415,7 +422,7 @@ def test_ratio_array_window_is_bit_identical(k, lo, hi):
     want = [0.0] if lo == 0 else []
     for n in range(max(lo, 1), hi + 1):
         w = 1.0  # factors 1 - p^-k in increasing prime order
-        for p, _ in factorize(n).factors:
+        for p, _ in factorize(n):
             w *= 1.0 - p ** -k
         want.append(w)
     assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
@@ -440,7 +447,7 @@ def test_windowed_pattern_tables_match_pointwise(lo, cap):
     assert mu.dtype == np.int8 and len(mu) == len(j2) == hi - lo + 1
     assert max(seen) == primes_upto(cap or hi)[-1]
     for n, m, j in zip(range(lo, hi + 1), mu.tolist(), j2.tolist()):
-        smooth = math.prod(p**e for p, e in factorize(n).factors if p <= (cap or hi))
+        smooth = math.prod(p**e for p, e in factorize(n) if p <= (cap or hi))
         assert (m, j) == (mobius(smooth), jordan(2, smooth)), n
 
 
@@ -453,7 +460,7 @@ def test_ratio_array_error_bound(k):
     assert ratios[0] == 0.0 and ratios[1] == 1.0
     for n in [*range(1, 2 * 10**4 + 1), *range(bucket - 2 * 10**3 + 1, bucket + 1)]:
         exact = Fraction(jordan(k, n), n**k)
-        omega = len(factorize(n).factors)
+        omega = len(factorize(n))
         assert abs(Fraction(ratios[n]) - exact) <= 2 * omega * exact / 2**53, n
 
 

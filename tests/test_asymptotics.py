@@ -48,8 +48,11 @@ def test_query_rejects_bad_parameters():
         AsymptoticQuery(4, 3, 3, 1, 10)       # a = 3 = 1 + 4/2 is not enough
     with pytest.raises(ValueError):
         AsymptoticQuery(2, 3, 3, 0, 10)
+    with pytest.raises(ValueError, match=r"in \[1, 2\^63\)"):
+        AsymptoticQuery(2, 3, 3, 2**63, 10)   # past factorize's range
     with pytest.raises(ValueError):
         AsymptoticQuery(2, 3, 3, 1, 0)
+    AsymptoticQuery(2, 3, 3, 2**63 - 1, 10)
     AsymptoticQuery(2, 3, 3, 1, 10)           # boundary-clearing case is fine
 
 
@@ -542,7 +545,7 @@ def test_far_ratio_window_matches_the_uncapped_product(k, p, at):
 def test_verify_report_structure():
     q = AsymptoticQuery(2, 3, 3, 12, 30000, prime_cutoff=10**4)
     rep = asymptotic_verify(q, tolerance=0.02)
-    assert rep.m == 2 and rep.k == 3
+    assert rep.rhs.m == 2 and rep.rhs.k == 3
     assert [n for n, _ in rep.lhs_checkpoints] == [10**4, 30000]
     for _, rho in rep.ratios:
         assert math.isfinite(rho) and rho > 0
@@ -568,7 +571,7 @@ def test_verify_shift_reduction_recheck():
     q = AsymptoticQuery(2, 3, 3, 72, 100, prime_cutoff=100)
     rep = asymptotic_verify(q)
     m, k = shift_decompose(72, 2)  # 72 = 6^2 * 2 with 2 squarefree
-    assert (rep.m, rep.k) == (m, k) == (6, 2)
+    assert (rep.rhs.m, rep.rhs.k) == (m, k) == (6, 2)
     for r in range(1, 101):
         assert crs_fast(r, 2, 72) == crs_fast(r, 2, 36)
 
@@ -613,7 +616,7 @@ def test_report_serialization(capsys):
                      "--output", "json"]) == 0
     back = json.loads(capsys.readouterr().out)
     assert back["schema"] == 1
-    assert back["m"] == 2 and back["k"] == 3
+    assert back["rhs"]["m"] == 2 and back["rhs"]["k"] == 3 and "m" not in back
     assert back["rhs"]["prime_cutoff"] == 1000
     assert back["lhs_checkpoints"] == [[n, v] for n, v in rep.lhs_checkpoints]
 

@@ -104,11 +104,12 @@ def _unequal_sides(s, k, n, primes):
 
 
 def test_local_check_reports_unequal_sides(capsys, monkeypatch):
-    # equal is compared, not assumed
+    # equal is compared, not assumed, and unequal sides fail the run
     monkeypatch.setattr(cli, "local_factor_exact", _unequal_sides)
-    code, out, _ = run_cli(capsys, "local-check", "--s", "1", "--k", "1", "--n", "1",
-                           "--primes", "2", "--output", "json")
-    assert code == 0 and json.loads(out)["equal"] is False
+    code, out, err = run_cli(capsys, "local-check", "--s", "1", "--k", "1", "--n", "1",
+                             "--primes", "2", "--output", "json")
+    assert code == 1 and json.loads(out)["equal"] is False
+    assert err == "local-check: lhs 1 != rhs 2\n"
 
 
 def test_local_check_refuses_a_wrong_case_factor(capsys, monkeypatch):
@@ -173,7 +174,7 @@ def test_asymptotic_with_plot_data(capsys):
     code, out, _ = run_cli(capsys, *argv, "--output", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["m"] == 2 and payload["k"] == 3
+    assert payload["rhs"]["m"] == 2 and payload["rhs"]["k"] == 3
     code, out, _ = run_cli(capsys, *argv, "--output", "csv")
     assert code == 0
     header, *rows = [line.split(",") for line in out.strip().split("\n")]

@@ -87,7 +87,7 @@ def test_expansion_terms_match_pointwise():
             if exact == 0:
                 assert terms[q] == 0.0
                 continue
-            omega = len(factorize(q).factors)
+            omega = len(factorize(q))
             err = abs(Fraction(terms[q]) - exact) / abs(exact)
             assert err <= 2 * omega * Fraction(1, 2**53), (s, k, n, q)
 

@@ -70,13 +70,13 @@ DIGESTS = {
     "asymptotic-plain":
         "dacb8df5a1ac34c3831145c315747faa366e14a4d531394c0de3357f56f2c074",
     "asymptotic-json":
-        "3ce3d61e08a58da553c3b616ff648b41665e17d045364df1738d1abc5a560b4b",
+        "57052781eb8507f238283b46230918523ca019606cc02ce72ec87b84dcf90012",
     "asymptotic-csv":
         "6d392d04231894f62ba28da598a98442371a4118baf05a5efbbc166b1d95148d",
     "asymptotic-far-plain":
         "f5423795fa81c840eaa35208a26f2946fcd38ca6850a97ab5afb833107198697",
     "asymptotic-far-json":
-        "f2758032ab8399ce971505b0a05651cbb350b557ac03e8ea3205c6ca40f663e9",
+        "466deafb4f5f1f435cd306c2c9719ef042bc07b4ab653d2c7280aad2034503c6",
     "asymptotic-far-csv":
         "caacbff83bc7f5b442f345eeff64650833a4cf1b189bd8a3c5028097bed1135b",
     "main-term-plain":
