@@ -49,6 +49,7 @@ from .asymptotics import (
     expansion_coefficients,
     general_main_term,
     lhs_sum,
+    main_term,
     rhs_product,
 )
 
@@ -66,6 +67,6 @@ __all__ = [
     "local_factor_exact", "local_factor_cases", "sivaramakrishnan_check",
     "AsymptoticQuery", "AsymptoticReport", "EulerProductResult",
     "lhs_sum", "rhs_product", "asymptotic_verify",
-    "general_main_term", "expansion_coefficients",
+    "general_main_term", "expansion_coefficients", "main_term",
     "__version__",
 ]

@@ -438,8 +438,8 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: boo
     sieving prime with a multiple in the block (that offset as a Python
     int); 88 bytes per large prime (its value, and the Python lists of
     ints and values it is built from); 104 bytes per cofactor (its run
-    of primes, and its share of a scatter group's run arrays); and
-    32 bytes per pair of one group.
+    of primes, and its share of a scatter group's run arrays); and, when
+    there is a cofactor, 32 bytes per pair of the one group built.
 
     A run of L entries, the window or one block, holds multiples of at
     most pi(L) primes <= L, and each entry has fewer than
@@ -461,7 +461,8 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: boo
     large = _prime_count_bound(cap) if cap > root else 0
     cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
     return (8 * entries + _primes_bytes(cap) + 176 * touching(entries) + 4 * (block + 1) * patterned
-            + 96 * touching(block) + 88 * large + 104 * cofactors + 32 * min(_GROUP, entries))
+            + 96 * touching(block) + 88 * large + 104 * cofactors
+            + 32 * min(_GROUP, entries) * (cofactors > 0))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order

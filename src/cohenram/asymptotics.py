@@ -20,7 +20,8 @@ when p | m), it is the paper's product P, its pair of local factors
     p !| m:  (1 - p^-(s+a))(1 - p^-(s+b)) - 1/p^(a+b+2s)
 
 expanded.  The generic main-term series sum_r fhat(r) ghat(r) c_r^s(h)
-takes caller-supplied coefficient tables.  ``asymptotic_verify``
+takes caller-supplied coefficient tables, and ``main_term`` compares
+it, with the Jordan-ratio coefficients, to P.  ``asymptotic_verify``
 reports the ratio trajectory L(N)/(N * P) so agreement or disagreement
 is measured, not assumed.
 """
@@ -61,6 +62,7 @@ __all__ = [
     "asymptotic_verify",
     "general_main_term",
     "expansion_coefficients",
+    "main_term",
 ]
 
 _BUCKET = 4096  # window ends are rounded to multiples of this
@@ -346,15 +348,6 @@ def _verify_bytes(query: AsymptoticQuery) -> int:
     return tables + max(temps, _product_bytes(c, query.prime_cutoff)) + _CALL_BYTES
 
 
-def _main_term_bytes(s: int, a: int, b: int, R: int) -> int:
-    """Peak bytes of the main-term comparison to R, all alive at once: the
-    coefficient tables, the c_r^s(h) table with 48 bytes per ~32-byte int,
-    the weights and their support, 80 bytes per term of the chunk fsum
-    reads, the product's primes to R and the call's small objects."""
-    return ((2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
-            + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
-
-
 def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> AsymptoticReport:
     """Assemble the full report: summation checkpoints, product, ratios.
 
@@ -427,3 +420,23 @@ def expansion_coefficients(s: int, power: int, R: int) -> np.ndarray:
     out /= zeta(k)
     out.flags.writeable = False
     return out
+
+
+def main_term(s: int, a: int, b: int, h: int, R: int) -> tuple[float, float]:
+    """(series, product): the main-term series to R with the Jordan-ratio
+    coefficients of a and b (one table serves both when b == a), and the
+    level-s Euler product to the prime cutoff R.  After the hypotheses of
+    AsymptoticQuery, the peak bytes, all alive at once, are charged: the
+    coefficient tables, the c_r^s(h) table with 48 bytes per ~32-byte
+    int, the weights and their support, 80 bytes per term of the chunk
+    fsum reads, the product's primes to R and the call's small objects.
+    The product, which refuses exponents past the float range, runs
+    before any table is built."""
+    query = AsymptoticQuery(s, a, b, h, 1, R)
+    _check_budget(f"main-term tables to R = {R}",
+                  (2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
+                  + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
+    product = rhs_product(query, s).value
+    fa = expansion_coefficients(s, a, R)
+    fb = fa if b == a else expansion_coefficients(s, b, R)
+    return general_main_term(fa, fb, s, h), product

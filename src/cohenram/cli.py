@@ -2,13 +2,15 @@
 
 Every library operation is reachable from exactly one subcommand; run
 ``cohenram --help`` for the list.  Exit status: 0 success, 1 invalid
-input (one-line diagnostic on stderr), 2 internal assertion failure.
+input or a failed check (one-line diagnostic on stderr), 2 internal
+assertion failure.
 Output is deterministic: the same invocation produces byte-identical
 bytes, JSON included.  Only this module knows the format: dispatch renders
 each command's Report, whose JSON comes from result fields, and adds "schema".
 
-Nothing is read from the environment: every parameter is a flag, and each
-table is charged against the fixed 4 GiB arith._MEMORY_LIMIT before it is built.
+Nothing is read from the environment: every parameter is a flag.  The library
+function that builds a table charges it against the fixed 4 GiB
+arith._MEMORY_LIMIT first; this module charges nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
 
-from .arith import InternalAssertionError, _check_budget, generalized_gcd, jordan
+from .arith import InternalAssertionError, generalized_gcd, jordan
 from .cohen import _EVALUATORS, CohenSumQuery, evaluate
 from .expansions import (
     ExpansionQuery,
@@ -30,14 +32,7 @@ from .expansions import (
     local_factor_exact,
     sivaramakrishnan_check,
 )
-from .asymptotics import (
-    AsymptoticQuery,
-    _main_term_bytes,
-    asymptotic_verify,
-    expansion_coefficients,
-    general_main_term,
-    rhs_product,
-)
+from .asymptotics import AsymptoticQuery, asymptotic_verify, main_term
 
 __all__ = ["RunConfig", "dispatch", "main"]
 
@@ -53,44 +48,6 @@ class RunConfig:
     command: str
     params: dict = field(default_factory=dict)
     output: str = "plain"
-
-
-# command -> (help, {option: (int | float | str | choices, default, help)});
-# a default of ... marks a required option.
-_INT = (int, ..., "")
-_OUTPUT = {"output": (("plain", "json", "csv"), "plain", "report format")}
-_COMMANDS = {
-    "sum": ("evaluate c_r^s(n) at r >= 1, s >= 1, n >= 0", {
-        **dict.fromkeys("rsn", _INT), "evaluator": (
-            tuple(_EVALUATORS), "multiplicative",
-            "multiplicative, divisor-sum oracle, or literal direct sum (r^s <= 10^7)"),
-        **_OUTPUT}),
-    "jordan": ("evaluate J_k(n) at k >= 1, n >= 1", {**dict.fromkeys("kn", _INT), **_OUTPUT}),
-    "gcd-s": ("generalized gcd (m, n)_s, the largest l^s dividing both",
-              {**dict.fromkeys("mns", _INT), **_OUTPUT}),
-    "expansion": ("partial sums to Q of sum_q mu(q) c_q^s(n^s)/J_{s+k}(q) "
-                  "vs zeta(s+k) J_k(n)/n^k", {**dict.fromkeys("sknQ", _INT), **_OUTPUT}),
-    "local-check": ("exact rational Euler-factor identity over a prime set", {
-        **dict.fromkeys("skn", _INT), "primes": (
-            str, ..., "comma-separated primes, e.g. 2,3,5 (empty string for none)"),
-        **_OUTPUT}),
-    "sivaramakrishnan": ("k-vector variant partial sums (evidence grade, small R)", {
-        **dict.fromkeys("skn", _INT), "R": (int, ..., "cutoff; needs the sum of r^s over "
-                                            "squarefree r <= R to be <= 10^7 "
-                                            "(R <= 5737, 370, 88 at s = 1, 2, 3)"),
-        **_OUTPUT}),
-    "asymptotic": ("shifted-convolution sum to N at shift h >= 1 vs truncated Euler product", {
-        **dict.fromkeys("sabhN", _INT), "prime-cutoff": (int, 10**5, ""),
-        "tolerance": (float, 0.02, "largest accepted |ratio - 1|"), **_OUTPUT}),
-    "main-term": ("generic main-term series with the Jordan-ratio coefficients, compared "
-                  "to the Euler product", {**dict.fromkeys("sabh", _INT), "R": (
-                      int, ..., "series cutoff, and also the prime cutoff of the Euler "
-                      "product it is compared to"), **_OUTPUT}),
-    "repro-all": ("one-command reproduction: the full exact local-factor grid plus the "
-                  "default shifted-convolution verification; exits 1 if any check fails",
-                  {"N": (int, 10**6, "summation limit"), "prime-cutoff": (int, 10**5, ""),
-                   **_OUTPUT}),
-}
 
 
 def parse_config(argv=None) -> RunConfig:
@@ -146,7 +103,8 @@ class Report:
     failure: str | None = None
 
 
-def _scalar_report(config: RunConfig, fields: dict, value) -> Report:
+def _scalar_report(config: RunConfig, value) -> Report:
+    fields = config.params  # in option order
     return Report({"command": config.command, **fields, "value": value},
                   [[*fields, "value"], [*fields.values(), value]], [value])
 
@@ -187,10 +145,10 @@ def _run_help(config: RunConfig) -> Report:
     if command is None:
         lines += ["Cohen-Ramanujan sums, Jordan totients, and verification of their "
                   "expansion and shifted-convolution identities.", "", "commands:",
-                  *(f"  {name:<17} {text}" for name, (text, _) in _COMMANDS.items()),
+                  *(f"  {name:<17} {text}" for name, (text, _, _) in _COMMANDS.items()),
                   "", "run 'cohenram COMMAND --help' for its options"]
     else:
-        text, options = _COMMANDS[command]
+        text, options, _ = _COMMANDS[command]
         lines += [text, "", "options (spelled in full):"]
         for name, (kind, default, about) in options.items():
             meta = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
@@ -201,22 +159,19 @@ def _run_help(config: RunConfig) -> Report:
 
 def _run_sum(config: RunConfig) -> Report:
     p = config.params
-    value = evaluate(CohenSumQuery(p["r"], p["s"], p["n"]), p["evaluator"])
-    return _scalar_report(config, {"r": p["r"], "s": p["s"], "n": p["n"],
-                                   "evaluator": p["evaluator"]}, value)
+    return _scalar_report(config, evaluate(CohenSumQuery(p["r"], p["s"], p["n"]), p["evaluator"]))
 
 
 def _run_jordan(config: RunConfig) -> Report:
     p = config.params
     if p["n"] < 1:
         raise ValueError(f"jordan argument must be >= 1, got {p['n']}")
-    return _scalar_report(config, {"k": p["k"], "n": p["n"]}, jordan(p["k"], p["n"]))
+    return _scalar_report(config, jordan(p["k"], p["n"]))
 
 
 def _run_gcd_s(config: RunConfig) -> Report:
     p = config.params
-    return _scalar_report(config, {"m": p["m"], "n": p["n"], "s": p["s"]},
-                          generalized_gcd(p["m"], p["n"], p["s"]))
+    return _scalar_report(config, generalized_gcd(p["m"], p["n"], p["s"]))
 
 
 def _run_expansion(config: RunConfig) -> Report:
@@ -239,9 +194,8 @@ def _run_local_check(config: RunConfig) -> Report:
     equal = lhs == rhs
     # closed-form case split per prime must reproduce the generic factor
     factors = {q: local_factor_cases(s, k, q, n) for q in primes}
-    cases_match = math.prod(factors.values(), start=Fraction(1)) == rhs
-    if equal and not cases_match:
-        raise InternalAssertionError("closed-form local factors disagree with the product")
+    cases = math.prod(factors.values(), start=Fraction(1))
+    cases_match = cases == rhs
     return Report(
         {"command": "local-check", "s": s, "k": k, "n": n, "primes": primes,
          "lhs": str(lhs), "rhs": str(rhs), "equal": equal,
@@ -251,7 +205,8 @@ def _run_local_check(config: RunConfig) -> Report:
         [f"lhs         {lhs}", f"rhs         {rhs}", f"equal       {equal}",
          *(f"factor p={q:<4} {v}" for q, v in factors.items()),
          f"cases_match {cases_match}"],
-        failure=None if equal else f"local-check: lhs {lhs} != rhs {rhs}")
+        failure=f"local-check: lhs {lhs} != rhs {rhs}" if not equal else None if cases_match
+        else f"local-check: closed-form factors give {cases} != rhs {rhs}")
 
 
 def _run_sivaramakrishnan(config: RunConfig) -> Report:
@@ -267,17 +222,10 @@ def _run_asymptotic(config: RunConfig) -> Report:
 
 def _run_main_term(config: RunConfig) -> Report:
     p = config.params
-    s, a, b, h, R = p["s"], p["a"], p["b"], p["h"], p["R"]
-    query = AsymptoticQuery(s, a, b, h, 1, R)  # refuses bad hypotheses before any table
-    _check_budget(f"main-term tables to R = {R}", _main_term_bytes(s, a, b, R))
-    product = rhs_product(query, s).value  # and exponents past the float range
-    fa = expansion_coefficients(s, a, R)
-    fb = fa if b == a else expansion_coefficients(s, b, R)
-    series = general_main_term(fa, fb, s, h)
+    series, product = main_term(p["s"], p["a"], p["b"], p["h"], p["R"])
     diff = abs(series - product)
     return Report(
-        {"command": "main-term", "s": s, "a": a, "b": b, "h": h, "R": R,
-         "series": series, "product": product, "abs_diff": diff},
+        {"command": "main-term", **p, "series": series, "product": product, "abs_diff": diff},
         [["series", "product", "abs_diff"], [series, product, diff]],
         [f"series  {series!r}", f"product {product!r}", f"|diff|  {diff!r}"])
 
@@ -322,27 +270,53 @@ def _run_repro_all(config: RunConfig) -> Report:
         failure=f"repro-all: {failed} of {len(checks)} checks failed" if failed else None)
 
 
-_HANDLERS = {
-    "help": _run_help,
-    "sum": _run_sum,
-    "jordan": _run_jordan,
-    "gcd-s": _run_gcd_s,
-    "expansion": _run_expansion,
-    "local-check": _run_local_check,
-    "sivaramakrishnan": _run_sivaramakrishnan,
-    "asymptotic": _run_asymptotic,
-    "main-term": _run_main_term,
-    "repro-all": _run_repro_all,
+# command -> (help, {option: (int | float | str | choices, default, help)}, handler);
+# a default of ... marks a required option.  dispatch runs _run_help for "help".
+_INT = (int, ..., "")
+_OUTPUT = {"output": (("plain", "json", "csv"), "plain", "report format")}
+_COMMANDS = {
+    "sum": ("evaluate c_r^s(n) at r >= 1, s >= 1, n >= 0", {
+        **dict.fromkeys("rsn", _INT), "evaluator": (
+            tuple(_EVALUATORS), "multiplicative",
+            "multiplicative, divisor-sum oracle, or literal direct sum (r^s <= 10^7)"),
+        **_OUTPUT}, _run_sum),
+    "jordan": ("evaluate J_k(n) at k >= 1, n >= 1", {**dict.fromkeys("kn", _INT), **_OUTPUT},
+               _run_jordan),
+    "gcd-s": ("generalized gcd (m, n)_s, the largest l^s dividing both",
+              {**dict.fromkeys("mns", _INT), **_OUTPUT}, _run_gcd_s),
+    "expansion": ("partial sums to Q of sum_q mu(q) c_q^s(n^s)/J_{s+k}(q) "
+                  "vs zeta(s+k) J_k(n)/n^k", {**dict.fromkeys("sknQ", _INT), **_OUTPUT},
+                  _run_expansion),
+    "local-check": ("exact rational Euler-factor identity over a prime set", {
+        **dict.fromkeys("skn", _INT), "primes": (
+            str, ..., "comma-separated primes, e.g. 2,3,5 (empty string for none)"),
+        **_OUTPUT}, _run_local_check),
+    "sivaramakrishnan": ("k-vector variant partial sums (evidence grade, small R)", {
+        **dict.fromkeys("skn", _INT), "R": (int, ..., "cutoff; needs the sum of r^s over "
+                                            "squarefree r <= R to be <= 10^7 "
+                                            "(R <= 5737, 370, 88 at s = 1, 2, 3)"),
+        **_OUTPUT}, _run_sivaramakrishnan),
+    "asymptotic": ("shifted-convolution sum to N at shift h >= 1 vs truncated Euler product", {
+        **dict.fromkeys("sabhN", _INT), "prime-cutoff": (int, 10**5, ""),
+        "tolerance": (float, 0.02, "largest accepted |ratio - 1|"), **_OUTPUT},
+        _run_asymptotic),
+    "main-term": ("generic main-term series with the Jordan-ratio coefficients, compared "
+                  "to the Euler product", {**dict.fromkeys("sabh", _INT), "R": (
+                      int, ..., "series cutoff, and also the prime cutoff of the Euler "
+                      "product it is compared to"), **_OUTPUT}, _run_main_term),
+    "repro-all": ("one-command reproduction: the full exact local-factor grid plus the "
+                  "default shifted-convolution verification; exits 1 if any check fails",
+                  {"N": (int, 10**6, "summation limit"), "prime-cutoff": (int, 10**5, ""),
+                   **_OUTPUT}, _run_repro_all),
 }
 
 
 def dispatch(config: RunConfig) -> int:
     """Run one validated config and write its report in the chosen
     format, the only write to stdout; returns the process exit status."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
+    if config.command != "help" and config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
-    report = handler(config)
+    report = (_COMMANDS[config.command][2] if config.command in _COMMANDS else _run_help)(config)
     if config.output == "json":
         text = json.dumps({"schema": 1, **report.payload}, indent=2, sort_keys=True,
                           default=vars) + "\n"

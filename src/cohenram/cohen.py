@@ -57,7 +57,12 @@ class CohenSumQuery:
             raise ValueError(f"need r >= 1, s >= 1, n >= 0, got {self}")
 
 
-def _round_assert(re: float, im: float, context: str) -> int:
+def _exp_sum(chunks: list[np.ndarray], context: str) -> int:
+    """The sum of e^(i x) over the angles in chunks, rounded to an int:
+    the cosines, then the sines, streamed into one fsum each, so the
+    chunking changes no bit; off an integer it raises RoundingAssertionError."""
+    re = math.fsum(itertools.chain.from_iterable(np.cos(c).tolist() for c in chunks))
+    im = math.fsum(itertools.chain.from_iterable(np.sin(c).tolist() for c in chunks))
     v = round(re)
     if abs(im) >= _ROUND_TOL or abs(re - v) >= _ROUND_TOL:
         raise RoundingAssertionError(
@@ -98,11 +103,8 @@ def crs_direct(r: int, s: int, n: int) -> int:
     # reduce n*h mod r^s exactly before going to floats
     t = (n % m) * h % m
     ang = t * (2.0 * math.pi / m)
-    # fsum is correctly rounded, so reading _CHUNK terms at a time changes no bit
-    chunks = [ang[lo : lo + _CHUNK] for lo in range(0, ang.size, _CHUNK)]
-    re = math.fsum(itertools.chain.from_iterable(np.cos(c).tolist() for c in chunks))
-    im = math.fsum(itertools.chain.from_iterable(np.sin(c).tolist() for c in chunks))
-    return _round_assert(re, im, f"crs_direct(r={r}, s={s}, n={n})")
+    return _exp_sum([ang[lo : lo + _CHUNK] for lo in range(0, ang.size, _CHUNK)],
+                    f"crs_direct(r={r}, s={s}, n={n})")
 
 
 def crs_direct_spectrum(r: int, s: int) -> np.ndarray:
@@ -216,7 +218,7 @@ def kvector_sum(k: int, n: int, r: int) -> int:
     admissible ones, and n mod r times the digit sum mod r stays below
     r^2, so no int64 overflows.  Only the admissible angles are kept, as
     one float64 array per chunk; the cosines and then the sines are
-    streamed from them into one fsum each, as in crs_direct, and no list
+    streamed from them into one fsum each by _exp_sum, and no list
     over every term is built.
     """
     if k < 1 or r < 1:
@@ -233,9 +235,7 @@ def kvector_sum(k: int, n: int, r: int) -> int:
             rest, digit = np.divmod(rest, r)
             common, total = np.gcd(common, digit), total + digit
         chunks.append((nr * (total[common == 1] % r) % r) * step)
-    re = math.fsum(itertools.chain.from_iterable(np.cos(c).tolist() for c in chunks))
-    im = math.fsum(itertools.chain.from_iterable(np.sin(c).tolist() for c in chunks))
-    return _round_assert(re, im, f"kvector_sum(k={k}, n={n}, r={r})")
+    return _exp_sum(chunks, f"kvector_sum(k={k}, n={n}, r={r})")
 
 
 # evaluator name -> route, in the order the CLI offers them

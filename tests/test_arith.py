@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cohenram import arith
 from cohenram.arith import (
     _BLOCK,
+    _table_bytes,
     _trial_primes,
     divisor_sigma,
     divisors,
@@ -29,6 +30,8 @@ from cohenram.arith import (
     zeta_upper_bound,
 )
 from cohenram.asymptotics import _ratio_array
+from cohenram.cohen import crs_direct_spectrum, kvector_sum
+from cohenram.expansions import local_factor_cases
 
 M61 = 2**61 - 1
 
@@ -414,6 +417,15 @@ _WINDOWS = [(0, 10**4), (1, 10**4), (0, _B), (60000, 200000),
             (10000036, 10000039), (2**34, 2**34 + 2047), (0, 2**18)]
 
 
+def test_table_charge_counts_the_scatter_group_only_when_built(monkeypatch):
+    # with cap <= isqrt(limit) there is no large prime, so no cofactor and
+    # no scatter group; a dense window has both
+    sparse, dense = _table_bytes(10**6, cap=1000), _table_bytes(10**6)
+    monkeypatch.setattr(arith, "_GROUP", 1 << 10)
+    assert _table_bytes(10**6, cap=1000) == sparse
+    assert _table_bytes(10**6) == dense - 32 * ((1 << 14) - (1 << 10))
+
+
 @pytest.mark.parametrize("k", [3, 4])
 @pytest.mark.parametrize("lo, hi", _WINDOWS)
 def test_ratio_array_window_is_bit_identical(k, lo, hi):
@@ -475,3 +487,27 @@ def test_ratio_array_error_bound_far_window():
         for n, ps, got in zip(range(lo, hi + 1), primes, ratios.tolist()):
             exact = math.prod((1 - Fraction(1, p**k) for p in ps), start=Fraction(1))
             assert abs(Fraction(got) - exact) <= 2 * len(ps) * exact / 2**53, n
+
+
+# refusals of the public functions that no other test reaches in-process
+@pytest.mark.parametrize("call, args", [
+    pytest.param(local_factor_cases, (0, 1, 2, 1), id="local_factor_cases-s"),
+    pytest.param(local_factor_cases, (1, 0, 2, 1), id="local_factor_cases-k"),
+    pytest.param(local_factor_cases, (1, 1, 2, 0), id="local_factor_cases-n"),
+    pytest.param(local_factor_cases, (1, 1, 4, 1), id="local_factor_cases-p"),
+    pytest.param(kvector_sum, (0, 1, 2), id="kvector_sum-k"),
+    pytest.param(kvector_sum, (1, 1, 0), id="kvector_sum-r"),
+    pytest.param(crs_direct_spectrum, (0, 1), id="crs_direct_spectrum-r"),
+    pytest.param(crs_direct_spectrum, (2, 0), id="crs_direct_spectrum-s"),
+    pytest.param(tau_s, (0, 4), id="tau_s-s"),
+    pytest.param(zeta_upper_bound, (1,), id="zeta_upper_bound-z"),
+    pytest.param(jordan, (0, 4), id="jordan-k"),
+    pytest.param(generalized_gcd, (0, 4, 2), id="generalized_gcd-m"),
+    pytest.param(generalized_gcd, (4, 0, 2), id="generalized_gcd-n"),
+    pytest.param(generalized_gcd, (4, 8, 0), id="generalized_gcd-s"),
+])
+def test_argument_refusals_are_one_line(call, args):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    message = str(info.value)
+    assert message and "\n" not in message

@@ -19,6 +19,7 @@ from cohenram.asymptotics import (
     expansion_coefficients,
     general_main_term,
     lhs_sum,
+    main_term,
     rhs_product,
 )
 from cohenram import arith, asymptotics, cli
@@ -633,6 +634,29 @@ def test_ratio_approaches_one_on_reference_grid():
 
 # ---------------------------------------------------------------------------
 # generic main term
+
+@pytest.mark.parametrize("b", [3, 4])
+def test_main_term_is_the_cli_comparison(capsys, monkeypatch, b):
+    # the series over the public coefficient tables and the level-s
+    # product, bit for bit what main-term prints; one table when b == a
+    built = []
+
+    def counting(s, power, R):
+        built.append(power)
+        return expansion_coefficients(s, power, R)
+
+    monkeypatch.setattr(asymptotics, "expansion_coefficients", counting)
+    series, product = main_term(2, 3, b, 12, 2000)
+    assert built == sorted({3, b})
+    want = general_main_term(expansion_coefficients(2, 3, 2000),
+                             expansion_coefficients(2, b, 2000), 2, 12)
+    assert series.hex() == want.hex()
+    assert product.hex() == rhs_product(AsymptoticQuery(2, 3, b, 12, 1, 2000), 2).value.hex()
+    assert cli.main(["main-term", "--s", "2", "--a", "3", "--b", str(b), "--h", "12",
+                     "--R", "2000", "--output", "json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["series"].hex(), out["product"].hex()) == (series.hex(), product.hex())
+
 
 def test_general_main_term_indicator():
     ind = np.zeros(51)

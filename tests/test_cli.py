@@ -113,14 +113,17 @@ def test_local_check_reports_unequal_sides(capsys, monkeypatch):
 
 
 def test_local_check_refuses_a_wrong_case_factor(capsys, monkeypatch):
-    # equal sides whose closed-form factors disagree are an internal failure
+    # equal sides whose closed-form factors disagree fail the run as
+    # unequal sides do: the report prints, and one line goes to stderr
     def wrong_at_3(s, k, p, n):
         return local_factor_cases(s, k, p, n) + (p == 3)
 
     monkeypatch.setattr(cli, "local_factor_cases", wrong_at_3)
     code, out, err = run_cli(capsys, "local-check", "--s", "2", "--k", "1", "--n", "6",
-                             "--primes", "2,3,5")
-    assert (code, out) == (2, "") and err.startswith("internal assertion failure")
+                             "--primes", "2,3,5", "--output", "json")
+    payload = json.loads(out)
+    assert code == 1 and payload["equal"] is True and payload["cases_match"] is False
+    assert err.startswith("local-check: closed-form factors give ") and err.count("\n") == 1
 
 
 def test_repro_all_fails_on_unequal_sides(capsys, monkeypatch):
@@ -255,7 +258,7 @@ _CHARGE_SCRIPT = """
 import sys, tracemalloc
 from cohenram import arith, cli
 config = cli.parse_config(sys.argv[1:])
-run = cli._HANDLERS[config.command]
+run = cli._COMMANDS[config.command][2]
 arith._trial_primes()  # lives for the whole process, outside the charge
 tracemalloc.start()
 run(config)

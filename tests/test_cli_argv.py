@@ -30,7 +30,7 @@ def _reference_config(argv) -> cli.RunConfig:
     """What an argparse parser built from the option table makes of argv."""
     top = _Refusing(prog="cohenram")
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (_, options) in cli._COMMANDS.items():
+    for command, (_, options, _) in cli._COMMANDS.items():
         q = sub.add_parser(command)
         for name, (kind, default, _) in options.items():
             how = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}

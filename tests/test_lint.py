@@ -2,8 +2,8 @@
 a name it never uses, every name exported through __all__ exists, every
 private top-level name is read somewhere in the package, every public
 function is read outside its own module, every memo is bounded, nothing
-reads the environment, and every code name and test the README cites
-exists."""
+reads the environment, cli charges no table, and every code name and
+test the README cites exists."""
 
 import ast
 import importlib
@@ -261,6 +261,33 @@ def test_nothing_reads_the_environment(module):
     # every limit is a constant and every parameter a flag, so the same
     # argv gives the same bytes whatever the environment holds
     assert _environment_reads(ast.parse((SRC / f"{module}.py").read_text())) == []
+
+
+def _charges(tree):
+    """Each name that tree reads, imports or defines and that is
+    _check_budget or a *_bytes helper."""
+    names = set(_reads(tree))
+    names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    names |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    return sorted(n for n in names if n == "_check_budget" or n.endswith("_bytes"))
+
+
+@pytest.mark.parametrize("source, charges", [
+    ("from .arith import _check_budget as check", ["_check_budget"]),
+    ("from . import arith\narith._check_budget('x', 1)", ["_check_budget"]),
+    ("from . import asymptotics\nn = asymptotics._main_term_bytes(2, 3, 3, 10)",
+     ["_main_term_bytes"]),
+    ("def _table_bytes(n):\n    return 8 * n", ["_table_bytes"]),
+    ("from .asymptotics import main_term\nx = main_term(2, 3, 3, 12, 10)\ny = x.nbytes", []),
+])
+def test_charge_check(source, charges):
+    assert _charges(ast.parse(source)) == charges
+
+
+def test_cli_charges_nothing():
+    # every table is charged by one formula next to its builder in the
+    # library; a charge computed in cli would drift from the build it covers
+    assert _charges(ast.parse((SRC / "cli.py").read_text())) == []
 
 
 TESTS = Path(__file__).parent
