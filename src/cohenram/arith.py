@@ -335,18 +335,99 @@ _TABLE_LIMIT = 1 << 29
 _GROUP = 1 << 14  # (m, P) pairs per scatter group of a table build's large primes
 
 
+def _power(x: np.ndarray, t: int) -> np.ndarray:
+    """x^t elementwise for t >= 1, by one fixed sequence of squarings and
+    multiplications by x (left-to-right binary powering); overflow gives
+    inf silently.  The relative error is at most (t - 1) rounding units
+    of x's dtype, as for any product of t copies of x."""
+    out = x.copy()
+    with np.errstate(over="ignore"):
+        for bit in bin(t)[3:]:
+            out *= out
+            if bit == "1":
+                out *= x
+    return out
+
+
+_LONG = np.finfo(np.longdouble)
+# longdouble's unit roundoff where it has at least 64 significant bits and
+# the 15-bit exponent of x87 extended or IEEE quad, else None
+_ROUNDOFF = np.longdouble(_LONG.eps) / 2 if _LONG.nmant >= 63 and _LONG.minexp < -16380 else None
+_UNDERFLOW = np.ldexp(np.longdouble(1), -16380) if _ROUNDOFF is not None else None
+
+
+def _reciprocals(t: int, primes: np.ndarray) -> np.ndarray:
+    """1 / (p^t - 1) for an int64 array of primes and t >= 1, as float64,
+    bit for bit Python's correctly rounded 1 / (p**t - 1).
+
+    p^t (by _power), p^t - 1 and the quotient q are computed in
+    longdouble: t + 1 roundings, so q is within (t + 1) u of the exact
+    value, u = _ROUNDOFF.  q is rounded to float64, and the result x is
+    kept when |q - x| + (t + 2) u q + 2^-16380 is below half the gap
+    from x down to the next float, which is never more than the gap up,
+    so the exact value lies strictly between the two midpoints around x
+    and rounds to x (A. Ziv, ACM TOMS 17(3), 1991).  The extra u covers
+    second-order terms and the rounding of the bound itself; the
+    absolute 2^-16380 covers a p^t that overflows longdouble (q = 0,
+    exact value below 2^-16383) and a longdouble subnormal q.  Every
+    other entry, under 1 % of them at t <= 12, is recomputed as the
+    exact Python quotient, and so is every entry where longdouble is no
+    wider than a double.  Past t = 1075 every value is below 2^-1075,
+    half the least subnormal, and rounds to 0: zeros are returned and
+    no power is built."""
+    out = np.zeros(len(primes))
+    if t > 1075:
+        return out
+    retry = range(len(primes))
+    if _ROUNDOFF is not None:
+        x = primes.astype(np.longdouble)
+        q = _power(x, t)
+        q -= 1
+        np.divide(1, q, out=q)
+        out[:] = q
+        x[:] = out  # every mixed-dtype step is an assignment, so numpy needs no cast buffer
+        np.subtract(q, x, out=x)  # exact: q and out agree to 53 bits
+        np.abs(x, out=x)
+        q *= (t + 2) * _ROUNDOFF
+        q += _UNDERFLOW
+        x += q
+        x *= 2
+        gap = np.nextafter(out, -np.inf)
+        np.subtract(out, gap, out=gap)  # exact: the gap down to the next float
+        q[:] = gap
+        retry = np.flatnonzero(x >= q).tolist()
+    for i in retry:
+        out[i] = 1 / (int(primes[i]) ** t - 1)
+    return out
+
+
+def _iroot(n: int, e: int) -> int:
+    """The largest r with r^e <= n, for 0 <= n < 2^65 and e >= 1, where
+    the float estimate is within one of it."""
+    r = int(n ** (1 / e))
+    while r**e > n:
+        r -= 1
+    while (r + 1) ** e <= n:
+        r += 1
+    return r
+
+
 def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
                          cap: int | None = None) -> np.ndarray:
-    """f(n) for n = lo..limit (f(0) = 0) of the multiplicative f with
-    f(p^e) = local(p, e), as a numpy array of the given dtype.
+    """f(n) for n = lo..limit (f(0) = 0) of the multiplicative f whose
+    values at p^e, for an increasing int64 array of primes p, are
+    local(primes, e), as a numpy array of the given dtype.
 
-    First, in blocks of _BLOCK entries, every prime p <= min(sqrt(limit),
-    cap) with a multiple in [lo, limit], in increasing order, multiplies
-    its multiples: by one scalar when local(p, e) equals local(p, 1) at
-    every power p^e <= limit, else by a pattern with local(p, e) at the
-    multiples of p^e.  A sieving prime with no multiple in the window is
-    skipped, so local is never called at it.  Then each
-    prime P in (sqrt(limit), cap] multiplies local(P, 1) into its
+    local runs once for e = 1 on the primes p <= min(sqrt(limit), cap)
+    with a multiple in [lo, limit] (the sieving primes; one numpy test
+    selects them, so local never sees the others), once for each e >= 2
+    on those with p^e <= limit, and once for e = 1 on the primes in
+    (sqrt(limit), cap].  It may return any sequence that numpy takes as
+    the dtype.  In blocks of _BLOCK entries, every sieving prime, in
+    increasing order, multiplies its multiples: by one scalar when its
+    value is the same at every power p^e <= limit, else by a pattern
+    with the value at p^e at the multiples of p^e.  Then each
+    prime P in (sqrt(limit), cap] multiplies its value into its
     multiples n = m P, batched by cofactor: m <= limit // P < P, and for
     each m two searchsorted calls give the run of primes with m P in
     [lo, limit]; the runs are scattered in groups of _GROUP (m, P) pairs.
@@ -354,9 +435,9 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     entry takes its factors in increasing prime order and float tables
     are identical run to run; dtype=object keeps exact Python ints.
     Every prime above cap (default limit) must have the factor 1 at
-    every power: it is not visited.  local is called once per visited
-    prime and power.  Peak memory is _table_bytes.  A window or a prime
-    sieve of more than _TABLE_LIMIT = 2^29 entries is refused first.
+    every power: it is not visited.  Peak memory is _table_bytes.  A
+    window or a prime sieve of more than _TABLE_LIMIT = 2^29 entries is
+    refused first.
     """
     cap = limit if cap is None else cap
     if max(limit - lo, cap) >= _TABLE_LIMIT:
@@ -365,20 +446,24 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     out = np.empty(limit - lo + 1, dtype=dtype)
     primes = primes_upto(cap)
     n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
-    large, small = primes[n_small:], primes[:n_small].tolist()
-    uprimes = primes[:n_small].astype(np.uint64)  # block starts may pass 2^63 - 1
-    powers = []  # local(p, e) at every power p^e <= limit, or one value if all equal
-    for p in small:
-        if -lo % p > limit - lo:  # no multiple in [lo, limit]: no block reads it
-            powers.append(())
-            continue
-        vals, q = [local(p, 1)], p * p
-        while q <= limit:
-            vals.append(local(p, len(vals) + 1))
-            q *= p
-        powers.append(vals[:1] if vals.count(vals[0]) == len(vals) else vals)
-    patterned = any(len(vals) > 1 for vals in powers)  # else no pattern scratch
-    scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2 if patterned else 0, dtype=dtype)
+    large, small = primes[n_small:], primes[:n_small]
+    uprimes = small.astype(np.uint64)  # lo and block starts may pass 2^63 - 1
+    touched = (uprimes - np.uint64(lo) % uprimes) % uprimes <= limit - lo  # first multiple
+    small, uprimes = small[touched], uprimes[touched]
+    powers = []  # powers[e - 1]: the values at p^e of small[:count], those with p^e <= limit
+    patterned = np.zeros(small.size, dtype=bool)  # some power's value differs from p's
+    count, e = small.size, 1
+    while count:
+        powers.append(np.asarray(local(small[:count], e), dtype=dtype))
+        patterned[:count] |= powers[-1] != powers[0][:count]
+        e += 1
+        count = int(np.searchsorted(small, _iroot(limit, e), side="right"))
+    if not patterned.any():  # one scalar per prime: the other powers are not read
+        del powers[1:]
+    small, patterned = small.tolist(), patterned.tolist()
+    powers = [vals.tolist() for vals in powers]
+    scratch = np.empty((min(_BLOCK, limit - lo + 1) + 1) // 2 if len(powers) > 1 else 0,
+                       dtype=dtype)
     for start in range(lo, limit + 1, _BLOCK):
         stop = min(limit + 1, start + _BLOCK)
         seg = out[start - lo : stop - lo]
@@ -386,17 +471,19 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
         first = (uprimes - np.uint64(start) % uprimes) % uprimes  # first multiple
         hit = first < stop - start
         for j, i in zip(np.flatnonzero(hit).tolist(), first[hit].tolist()):
-            p, vals = small[j], powers[j]
-            if len(vals) == 1:  # a sieving prime has p^2 <= limit: all values equal
-                seg[i::p] *= vals[0]
+            p = small[j]
+            if not patterned[j]:
+                seg[i::p] *= powers[0][j]
             else:  # pattern[t] multiplies n = start + i + t p
                 pattern = scratch[: (stop - start - 1 - i) // p + 1]
-                pattern.fill(vals[0])
-                for e, v in enumerate(vals[1:], 2):
-                    pattern[(-start % p**e - i) // p :: p ** (e - 1)] = v
+                pattern.fill(powers[0][j])
+                for e, vals in enumerate(powers[1:], 2):
+                    if j >= len(vals):  # p^e > limit
+                        break
+                    pattern[(-start % p**e - i) // p :: p ** (e - 1)] = vals[j]
                 seg[i::p] *= pattern
     if large.size:
-        values = np.array([local(p, 1) for p in large.tolist()], dtype=dtype)
+        values = np.asarray(local(large, 1), dtype=dtype)
         cofactors = np.arange(max(1, -(-lo // int(large[-1]))), limit // int(large[0]) + 1)
         # each cofactor m's run of primes: large[first:first + runs] have m P in [lo, limit]
         first = np.searchsorted(large, -(-lo // cofactors))
@@ -430,39 +517,60 @@ def _primes_bytes(limit: int) -> int:
 
 def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: bool = True) -> int:
     """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
-    cap=cap) for an 8-byte dtype (float64, or object pointers): the
-    output; the primes to cap; 176 bytes per sieving prime that can have
-    a multiple in the window (its Python int, its list of local values,
-    its offsets in a block); one block's pattern scratch, unless local
-    is not patterned (local(p, e) = local(p, 1) at every e), and 96 bytes per
-    sieving prime with a multiple in the block (that offset as a Python
-    int); 88 bytes per large prime (its value, and the Python lists of
-    ints and values it is built from); 104 bytes per cofactor (its run
-    of primes, and its share of a scatter group's run arrays); and, when
-    there is a cofactor, 32 bytes per pair of the one group built.
+    cap=cap) for an 8-byte dtype (float64, or object pointers) and the
+    locals of this package: the output, the primes to cap, and the
+    largest of three stages whose temporaries never coexist.
 
-    A run of L entries, the window or one block, holds multiples of at
-    most pi(L) primes <= L, and each entry has fewer than
-    log2(limit) / log2(L) prime factors above L, since such a prime
-    exceeds 2^(bit_length(L) - 1).  A sieving prime with no multiple in
-    the window keeps its Python int and block offsets but no list.  Those
-    are not charged on their own: the window bound allows about three
-    primes per entry above L where about one in two entries has one, and
-    that margin, not a proof, covers them on far windows."""
+    - The sieve's flags, cap + 1 bytes.
+    - The skip mask: 25 bytes per sieving prime (its uint64 copy, two
+      uint64 temporaries and the mask).
+    - The build: 1 byte per sieving prime (the mask, kept); 109 per
+      touched sieving prime, one with a multiple in the window (its
+      uint64 copy, its Python int, value and pattern flag in lists, and
+      its first multiple in a block with two temporaries); 88 per
+      touched prime with a multiple in the block (its index and offset,
+      as arrays and as Python ints); unless local is not patterned
+      (the same value at every power), 40 per value at a power p^e,
+      e >= 2 (array and list), and one block's pattern scratch; 48 per
+      large prime, past sqrt(limit) (its value, and the two longdouble
+      arrays and the float64 gaps of _reciprocals, which the lists of
+      _crs_table's exact ints stay below); 104 per cofactor (its run of
+      primes, and its share of a scatter group's run arrays); and, when
+      there is a cofactor, 32 bytes per pair of the one group built.
+
+    A run of L entries, the window or one block, has a multiple of every
+    prime up to L, and each entry has fewer than log2(limit) / log2(L)
+    prime factors above L, since such a prime exceeds
+    2^(bit_length(L) - 1).  When L is below the last sieving prime y,
+    the primes in (L, y] are charged at the smaller of that bound and
+    twice the number a run at a random place has on average,
+    L * sum_{L < p <= y} 1 / p < L (ln ln y - ln ln L + 1 / ln^2 L)
+    (Mertens' theorem with Rosser and Schoenfeld's error terms).  The
+    bound alone is about six times the touched primes of a short window
+    far out, so the average, not a proof, is charged there."""
 
     def touching(run: int) -> int:  # sieving primes with a multiple in a run
-        return min(sieving, _prime_count_bound(run)
-                   + run * (limit.bit_length() // max(1, run.bit_length() - 1)))
+        far = run * (limit.bit_length() // max(1, run.bit_length() - 1))
+        if 3 <= run < top:
+            ln = math.log(run)
+            far = min(far, math.ceil(2 * run * (math.log(math.log(top)) - math.log(ln) + ln**-2)))
+        return min(sieving, _prime_count_bound(run) + far)
 
     cap = limit if cap is None else cap
     entries, root = limit - lo + 1, math.isqrt(limit)
-    block = min(_BLOCK, entries)
-    sieving = _prime_count_bound(min(root, cap))
+    block, top = min(_BLOCK, entries), min(root, cap)
+    sieving = _prime_count_bound(top)
+    touched = touching(entries)
+    # p^e <= limit < 2^bits puts p below 2^ceil(bits / e)
+    bits = limit.bit_length()
+    powers = sum(min(touched, _prime_count_bound(min(top, 1 << -(-bits // e))))
+                 for e in range(2, bits)) if patterned else 0
     large = _prime_count_bound(cap) if cap > root else 0
     cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
-    return (8 * entries + _primes_bytes(cap) + 176 * touching(entries) + 4 * (block + 1) * patterned
-            + 96 * touching(block) + 88 * large + 104 * cofactors
-            + 32 * min(_GROUP, entries) * (cofactors > 0))
+    build = (sieving + 109 * touched + 88 * touching(block) + 40 * powers
+             + 4 * (block + 1) * patterned + 48 * large + 104 * cofactors
+             + 32 * min(_GROUP, entries) * (cofactors > 0))
+    return 8 * entries + 8 * _prime_count_bound(cap) + max(cap + 1, 25 * sieving, build)
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order

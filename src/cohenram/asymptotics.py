@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -44,8 +44,10 @@ from .arith import (
     _FLOAT_LIMIT,
     _check_budget,
     _over_guard,
+    _power,
     _prime_count_bound,
     _primes_bytes,
+    _reciprocals,
     _table_bytes,
     multiplicative_table,
     primes_upto,
@@ -143,11 +145,25 @@ def _factor_cap(c: int, hi: int) -> int:
     return min(hi, int(2 ** (54 / c)) + 1)
 
 
+def _ratio_factors(k: int, primes: np.ndarray) -> np.ndarray:
+    """The factors 1.0 - 1.0 / X, X = p^k by _power's fixed float64
+    squaring sequence (inf past the float range), for an int64 array of
+    primes.  While p^k < 2^53, X is exact and 1.0 / X is the correctly
+    rounded p^-k; past it 1.0 - p^-k rounds to 1 - 2^-53 or 1.0 whatever
+    the last bits of p^-k are, as long as the side of 2^-54 is kept.
+    The factor is then bit for bit the 1.0 - p ** -k of libm's pow on
+    the ranges tests check.  It is two roundings, not the correctly
+    rounded 1 - p^-k: at (k, p) = (3, 3) both give 0x1.ed097b425ed0ap-1,
+    where 1 - 1/27 rounds to 0x1.ed097b425ed09p-1."""
+    return 1.0 - 1.0 / _power(primes.astype(np.float64), k)
+
+
 @lru_cache(maxsize=8)
 def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
     """J_k(n)/n^k = prod_{p | n} (1 - p^-k) for n = lo..hi as a read-only
     float64 table (the entry for n = 0 is 0): multiplicative_table capped
-    at _factor_cap(k, hi), past which every factor is exactly 1.0.  An
+    at _factor_cap(k, hi), past which every factor is exactly 1.0, with
+    the factors of _ratio_factors, one numpy call per exponent.  An
     entry is a product of omega(n) rounded factors, within
     2 omega(n) 2^-53 relative of the exact value.  Memory is the output
     plus one block's temporaries and, past sqrt(hi), the values of the
@@ -155,7 +171,8 @@ def _ratio_array(k: int, lo: int, hi: int) -> np.ndarray:
     per cofactor (at most sqrt(hi) < 2^18 of them) and one scatter group
     of 2^14 pairs, whatever lo is.
     """
-    out = multiplicative_table(hi, lambda p, e: 1.0 - p ** -k, lo=lo, cap=_factor_cap(k, hi))
+    out = multiplicative_table(hi, lambda primes, e: _ratio_factors(k, primes), lo=lo,
+                               cap=_factor_cap(k, hi))
     out.flags.writeable = False
     return out
 
@@ -380,10 +397,12 @@ def _crs_table(R: int, s: int, h: int) -> np.ndarray:
     object table, so a large h or s cannot wrap a fixed-width integer.
 
     c_r^s(h) is multiplicative in r, and each prime power takes
-    _crs_prime_power, the rule crs_fast multiplies.  crs_fast itself is
-    not called, so the table's one-off prime powers leave its cache alone.
+    _crs_prime_power, the rule crs_fast multiplies, one Python int per
+    prime.  crs_fast itself is not called, so the table's one-off prime
+    powers leave its cache alone.
     """
-    return multiplicative_table(R, partial(_crs_prime_power, s, h), object)
+    return multiplicative_table(
+        R, lambda primes, e: [_crs_prime_power(s, h, p, e) for p in primes.tolist()], object)
 
 
 def general_main_term(fhat: np.ndarray, ghat: np.ndarray, s: int, h: int) -> float:
@@ -411,12 +430,16 @@ def expansion_coefficients(s: int, power: int, R: int) -> np.ndarray:
     """The Jordan-ratio expansion coefficients
     r -> mu(r) / (J_{s+power}(r) * zeta(s+power)) for r = 0..R (entry 0
     is 0), as a read-only float64 table built by multiplicative_table.
-    Each entry is a product of omega(r) rounded factors, divided once by
+    The value at a prime is -_reciprocals(k, primes), k = s + power: the
+    correctly rounded -1 / (p^k - 1) from one numpy call, and -0.0 past
+    k = 1075 with no power built, so a huge power returns at once.  Each
+    entry is a product of omega(r) rounded factors, divided once by
     zeta."""
     if min(s, power, R) < 1:
         raise ValueError(f"s, power, R must be >= 1, got {(s, power, R)}")
     k = s + power
-    out = multiplicative_table(R, lambda p, e: -1 / (p**k - 1) if e == 1 else 0.0)
+    out = multiplicative_table(
+        R, lambda primes, e: -_reciprocals(k, primes) if e == 1 else np.zeros(len(primes)))
     out /= zeta(k)
     out.flags.writeable = False
     return out

@@ -30,6 +30,7 @@ from .arith import (
     _FLOAT_LIMIT,
     _check_budget,
     _over_guard,
+    _reciprocals,
     _table_bytes,
     divisor_sigma,
     is_prime,
@@ -93,23 +94,29 @@ def _target(s: int, k: int, n: int) -> float:
 def _expansion_terms(s: int, k: int, n: int, Q: int) -> np.ndarray:
     """mu(q) c_q^s(n^s) / J_{s+k}(q) for q = 0..Q as float64 (entry 0 is
     0), built by multiplicative_table from its value
-    -c_p^s(n^s) / J_{s+k}(p) at each prime; non-squarefree q give 0.
+    -c_p^s(n^s) / J_{s+k}(p) at the primes; non-squarefree q give 0.
     At a prime both are closed forms, c_p^s(n^s) = p^s - 1 if p | n and
     -1 otherwise, and J_{s+k}(p) = p^(s+k) - 1: the same ints crs_fast
-    and jordan return, without factorizing p.
+    and jordan return, without factorizing p.  So the value is
+    1 / (p^(s+k) - 1) at every p that does not divide n, which
+    _reciprocals gives for a whole array of primes at once, bit for bit
+    the exact quotient; the at most omega(n) primes that divide n are then
+    overwritten with the exact -(p^s - 1) / (p^(s+k) - 1).
     Each entry is a product of omega(q) rounded factors, within
     2 omega(q) 2^-53 relative of the exact value.  Past s + k = 1140 no
     p^(s+k) is built: |c_p^s(n^s)| < 2^63 under the n^s guard, so every
     prime's value is below 2^64 / 2^1141 = 2^-1077, under half the least
     subnormal 2^-1074, and rounds to zero."""
-    if s + k > 1140:
-        return multiplicative_table(Q, lambda p, e: 0.0)
 
-    def local(p: int, e: int) -> float:
+    def local(primes: np.ndarray, e: int) -> np.ndarray:
         if e > 1:
-            return 0.0
-        crs = p**s - 1 if n % p == 0 else -1
-        return -crs / (p ** (s + k) - 1)
+            return np.zeros(len(primes))
+        values = _reciprocals(s + k, primes)
+        if s + k <= 1140:
+            divides = np.flatnonzero(n % primes == 0)
+            values[divides] = [-(p**s - 1) / (p ** (s + k) - 1)
+                               for p in primes[divides].tolist()]
+        return values
 
     return multiplicative_table(Q, local)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cohenram import arith
 from cohenram.arith import (
     _BLOCK,
+    _reciprocals,
     _table_bytes,
     _trial_primes,
     divisor_sigma,
@@ -31,7 +32,7 @@ from cohenram.arith import (
 )
 from cohenram.asymptotics import _ratio_array
 from cohenram.cohen import crs_direct_spectrum, kvector_sum
-from cohenram.expansions import local_factor_cases
+from cohenram.expansions import _expansion_terms, local_factor_cases
 
 M61 = 2**61 - 1
 
@@ -332,14 +333,18 @@ def test_jordan_coefficient_bound():
 # dense tables
 
 def _jordan_local(k):
-    return lambda p, e: p ** (k * e) - p ** (k * (e - 1))
+    return lambda primes, e: [p ** (k * e) - p ** (k * (e - 1)) for p in primes.tolist()]
+
+
+def _mu_local(primes, e):
+    return np.full(len(primes), -1 if e == 1 else 0)
 
 
 # edges between the strided small-prime updates and the batched large
 # primes: 9409 = 97^2 has a prime at sqrt(limit), 9973 is itself prime
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 8, 9, 12, 25, 9409, 9973, 10**4])
 def test_multiplicative_table_matches_pointwise(limit):
-    mu = multiplicative_table(limit, lambda p, e: -1 if e == 1 else 0, np.int8)
+    mu = multiplicative_table(limit, _mu_local, np.int8)
     assert mu.dtype == np.int8 and mu[0] == 0
     assert mu[1:7].tolist() == [1, -1, -1, 0, -1, 1][:limit]
     assert mu[1:].tolist() == [mobius(n) for n in range(1, limit + 1)]
@@ -357,7 +362,7 @@ def test_multiplicative_table_matches_pointwise(limit):
 def test_sieve_examples():
     jt = multiplicative_table(10, _jordan_local(1), object)
     assert jt[1:].tolist() == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
-    mt = multiplicative_table(6, lambda p, e: -1 if e == 1 else 0, np.int8)
+    mt = multiplicative_table(6, _mu_local, np.int8)
     assert mt[1:].tolist() == [1, -1, -1, 0, -1, 1]
     assert multiplicative_table(1, _jordan_local(3), object)[1] == 1
 
@@ -370,7 +375,7 @@ def test_jordan_sieve_matches_pointwise(k):
 
 
 def test_mobius_sieve_matches_pointwise():
-    mt = multiplicative_table(10**4, lambda p, e: -1 if e == 1 else 0, np.int8)
+    mt = multiplicative_table(10**4, _mu_local, np.int8)
     for n in range(1, 10**4 + 1):
         assert mt[n] == mobius(n)
 
@@ -388,17 +393,81 @@ def test_table_guard_refuses_before_any_work():
     # whatever its charge, a window or a prime sieve of more than 2^29
     # entries is refused before np.empty, primes_upto or local runs; a
     # short far window with a small cap still builds
-    def local(p, e):
-        raise AssertionError(f"local called at {p}")
+    def local(primes, e):
+        raise AssertionError(f"local called at {primes}")
 
     for limit, window in [(10**12, {}), (2**29, {}), (10**12 + 10, {"lo": 10**12}),
                           (10, {"cap": 2**29}), (2**29 + 5, {"lo": 5, "cap": 10})]:
         with pytest.raises(ValueError, match="2\\^29-entry table guard"):
             multiplicative_table(limit, local, **window)
-    mu = multiplicative_table(10**12 + 10, lambda p, e: -1 if e == 1 else 0, np.int8,
-                              lo=10**12, cap=1000)
+    mu = multiplicative_table(10**12 + 10, _mu_local, np.int8, lo=10**12, cap=1000)
     assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n) if p <= 1000))
                            for n in range(10**12, 10**12 + 11)]
+
+
+def test_local_runs_once_per_exponent_on_touched_primes():
+    # a far window: local sees, once for e = 1, exactly the sieving
+    # primes with a multiple in [lo, limit], then once for each e >= 2
+    # those with p^e <= limit, then once the primes in (sqrt(limit), cap]
+    lo, limit, cap = 10**9, 10**9 + 999, 40000
+    calls = []
+
+    def local(primes, e):
+        assert primes.dtype == np.int64 and (np.diff(primes) > 0).all()
+        calls.append((e, primes.tolist()))
+        return np.full(len(primes), -1 if e == 1 else 0)
+
+    mu = multiplicative_table(limit, local, np.int8, lo=lo, cap=cap)
+    root = math.isqrt(limit)
+    sieving = primes_upto(root).tolist()
+    touched = [p for p in sieving if -lo % p <= limit - lo]
+    assert 0 < len(touched) < len(sieving) // 2
+    assert calls[0] == (1, touched)
+    powers = [(e, [p for p in touched if p**e <= limit]) for e in range(2, limit.bit_length())]
+    assert calls[1:-1] == [(e, ps) for e, ps in powers if ps]
+    assert calls[-1] == (1, [p for p in primes_upto(cap).tolist() if p > root])
+    assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n) if p <= cap))
+                           for n in range(lo, limit + 1)]
+
+
+def test_reciprocals_are_the_python_quotients():
+    # every prime to 10^6 at t = 2..12, bit for bit the exact int quotient
+    primes = primes_upto(10**6)
+    for t in range(2, 13):
+        want = [1 / (p**t - 1) for p in primes.tolist()]
+        assert _reciprocals(t, primes).tolist() == want, t
+
+
+def test_reciprocals_edges():
+    # an exact 1/8; t = 1; at t = 1075, 1/(2^1075 - 1) rounds up to the
+    # least subnormal and every larger prime to 0, past it every value
+    # is 0; p^1075 past the longdouble range (p > 2^15.3) gives 0 too
+    primes = primes_upto(10**5)
+    assert _reciprocals(2, np.array([3])).tolist() == [0.125]
+    assert _reciprocals(1, primes[:50]).tolist() == [1 / (p - 1) for p in primes[:50].tolist()]
+    for t in (1074, 1075, 1076):
+        got = _reciprocals(t, primes[:5]).tolist()
+        assert got == [1 / (p**t - 1) for p in primes[:5].tolist()], t
+    assert _reciprocals(1075, primes[:1]).tolist() == [5e-324]
+    assert not _reciprocals(1076, primes[:1]).any()
+    huge = primes[-3:]
+    assert all(p**1075 > 2**16384 for p in huge.tolist())
+    assert _reciprocals(1075, huge).tolist() == [0.0] * 3 == [1 / (p**1075 - 1) for p in huge.tolist()]
+    assert _reciprocals(10**12, primes).tolist() == [0.0] * len(primes)
+    assert _reciprocals(3, primes[:0]).size == 0
+
+
+@pytest.mark.parametrize("roundoff", [None, np.longdouble(0.125)], ids=["double", "wide-error"])
+def test_expansion_terms_are_exact_when_every_reciprocal_falls_back(monkeypatch, roundoff):
+    # with no longdouble kernel (None, as where longdouble is a double)
+    # every value is the exact Python quotient; with an error term far
+    # above every float gap, every value that is not 0 is: the same bits
+    cases = [(1, 1, 1), (2, 1, 30), (3, 2, 90), (1, 1074, 6), (2, 1100, 12)]
+    want = [_expansion_terms(s, k, n, 3000) for s, k, n in cases]
+    monkeypatch.setattr(arith, "_ROUNDOFF", roundoff)
+    for (s, k, n), w in zip(cases, want):
+        got = _expansion_terms(s, k, n, 3000)
+        assert got.tobytes() == w.tobytes(), (s, k, n)
 
 
 # windows of the block-segmented ratio build (blocks of _BLOCK = 2^16
@@ -450,9 +519,9 @@ def test_ratio_array_window_is_bit_identical(k, lo, hi):
 def test_windowed_pattern_tables_match_pointwise(lo, cap):
     hi, seen = 3 * _B, set()
 
-    def mu_local(p, e):
-        seen.add(p)
-        return -1 if e == 1 else 0
+    def mu_local(primes, e):
+        seen.update(primes.tolist())
+        return _mu_local(primes, e)
 
     mu = multiplicative_table(hi, mu_local, np.int8, lo=lo, cap=cap)
     j2 = multiplicative_table(hi, _jordan_local(2), object, lo=lo, cap=cap)

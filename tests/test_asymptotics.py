@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -11,7 +12,8 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from cohenram.arith import jordan, mobius, multiplicative_table, primes_upto, tau_s, zeta
+from cohenram.arith import (factorize, jordan, mobius, multiplicative_table, primes_upto, tau_s,
+                            zeta)
 from cohenram.cohen import crs_fast, shift_decompose
 from cohenram.asymptotics import (
     AsymptoticQuery,
@@ -25,7 +27,7 @@ from cohenram.asymptotics import (
 from cohenram import arith, asymptotics, cli
 from cohenram.asymptotics import (
     _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_plan, _lhs_windows,
-    _ratio_array, _verify_bytes)
+    _ratio_array, _ratio_factors, _verify_bytes)
 from cohenram.arith import _MEMORY_LIMIT, _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
 
 
@@ -522,6 +524,24 @@ def test_euler_product_refuses_a_factor_outside_0_2(bad):
         _euler_product(3, 10, local)
 
 
+def test_ratio_factors_are_the_libm_expression():
+    # 1.0 - 1.0 / p^k from float squarings gives the bits of 1.0 - p ** -k
+    # at every prime a table visits for k = 3..60, and at p = 2 past the
+    # float range; at (3, 3) both round twice and miss the correctly
+    # rounded 1 - 1/27 by one ulp
+    count = 0
+    for k in range(3, 61):
+        primes = primes_upto(_factor_cap(k, 2**40))
+        want = [(1.0 - p ** -k).hex() for p in primes.tolist()]
+        assert list(map(float.hex, _ratio_factors(k, primes).tolist())) == want, k
+        count += len(primes)
+    assert count == 25014
+    for k in (1023, 1024, 10**9):
+        assert _ratio_factors(k, np.array([2])).tolist() == [1.0 - 2 ** -k] == [1.0]
+    assert _ratio_factors(3, np.array([3]))[0].hex() == "0x1.ed097b425ed0ap-1"
+    assert float(1 - Fraction(1, 27)).hex() == "0x1.ed097b425ed09p-1"
+
+
 # windows at 10^12 (k = 3, cap 262145) and 10^14 (k = 4, cap 11586),
 # centred on a multiple of the last prime below the cap or the first
 # prime above it, which is no longer a sieving prime; and windows past
@@ -685,6 +705,27 @@ def test_expansion_coefficients_values():
     assert not fhat.flags.writeable
 
 
+def test_expansion_coefficients_at_a_huge_power():
+    # past s + power = 1075 every -1 / (p^k - 1) is -0.0 and no p^k is
+    # built; -0.0 equals the 0.0 at p^e, e >= 2, so each prime of r
+    # multiplies its entry by -0.0 as one scalar, as it did when the
+    # quotient was built (11 s at power 10^6, unbounded at 10^9)
+    for k in range(1076, 1081):
+        assert -1 / (2**k - 1) == 0.0 and math.copysign(1, -1 / (2**k - 1)) == -1
+    start = time.perf_counter()
+    for power in (10**6, 10**9):
+        got = expansion_coefficients(1, power, 100)
+        want = [0.0]
+        for r in range(1, 101):
+            w = 1.0
+            for _ in factorize(r):
+                w *= -0.0
+            want.append(w / zeta(1 + power))
+        assert list(map(float.hex, got.tolist())) == list(map(float.hex, want))
+        assert got[1] == 1.0 and math.copysign(1, got[12]) == 1 and math.copysign(1, got[60]) == -1
+    assert time.perf_counter() - start < 0.5
+
+
 def test_general_main_term_matches_exact_sum():
     # the table sum against mu(r)^2 c_r^s(h) / (J_{s+a}(r) J_{s+b}(r)),
     # accumulated as an exact Fraction and divided by zeta(s+a) zeta(s+b)
@@ -719,7 +760,8 @@ def test_general_main_term_chunks_are_bit_identical():
     weights = np.multiply(fa[1:], fb[1:])
     support = np.flatnonzero(weights)
     assert _CHUNK < len(support) < 2 * _CHUNK
-    crs = multiplicative_table(R, lambda p, e: crs_fast(p**e, s, h), object)
+    crs = multiplicative_table(R, lambda primes, e: [crs_fast(p**e, s, h) for p in primes.tolist()],
+                               object)
     want = math.fsum(w * c for w, c in zip(weights[support].tolist(),
                                           crs[support + 1].tolist()))
     assert general_main_term(fa, fb, s, h).hex() == want.hex()

@@ -300,12 +300,12 @@ def _limit_address_space():
 
 # refused by the query's hypotheses before any table is built
 _HUGE_S = ("main-term", "--s", str(10**8), "--a", "3", "--b", "3", "--h", "12", "--R", "1000")
-# a table of 10^8 entries, charged 1.45 GiB, under the 4 GiB memory
+# a table of 10^8 entries, charged 1.10 GiB, under the 4 GiB memory
 # ceiling, that the 1 GiB cannot hold
 _OUT_OF_MEMORY = (
     ("expansion", "--s", "2", "--k", "1", "--n", "6", "--Q", str(10**8)),
 )
-# charged over the 4 GiB memory ceiling: main-term at R = 10^8 (7.4 GiB)
+# charged over the 4 GiB memory ceiling: main-term at R = 10^8 (6.7 GiB)
 # and tables of 10^12 entries
 _OVER_CEILING = (
     ("expansion", "--s", "2", "--k", "1", "--n", "2", "--Q", str(10**12)),
