@@ -401,6 +401,14 @@ def _reciprocals(t: int, primes: np.ndarray) -> np.ndarray:
     return out
 
 
+def _touched(primes: np.ndarray, lo: int, limit: int) -> np.ndarray:
+    """The mask of the primes, an int64 array, that have a multiple in
+    [lo, limit]: p's first multiple from lo on is lo + (-lo % p), taken
+    in uint64, since lo may pass 2^63 - 1."""
+    uprimes = primes.astype(np.uint64)
+    return (uprimes - np.uint64(lo) % uprimes) % uprimes <= limit - lo
+
+
 def _iroot(n: int, e: int) -> int:
     """The largest r with r^e <= n, for 0 <= n < 2^65 and e >= 1, where
     the float estimate is within one of it."""
@@ -418,18 +426,18 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
     values at p^e, for an increasing int64 array of primes p, are
     local(primes, e), as a numpy array of the given dtype.
 
-    local runs once for e = 1 on the primes p <= min(sqrt(limit), cap)
-    with a multiple in [lo, limit] (the sieving primes; one numpy test
-    selects them, so local never sees the others), once for each e >= 2
-    on those with p^e <= limit, and once for e = 1 on the primes in
-    (sqrt(limit), cap].  It may return any sequence that numpy takes as
-    the dtype.  In blocks of _BLOCK entries, every sieving prime, in
-    increasing order, multiplies its multiples: by one scalar when its
-    value is the same at every power p^e <= limit, else by a pattern
-    with the value at p^e at the multiples of p^e.  Then each
-    prime P in (sqrt(limit), cap] multiplies its value into its
-    multiples n = m P, batched by cofactor: m <= limit // P < P, and for
-    each m two searchsorted calls give the run of primes with m P in
+    Only the primes to cap with a multiple in [lo, limit] are visited:
+    one numpy test, _touched, selects them, so local never sees the
+    others.  local runs once for e = 1 on those p <= sqrt(limit) (the
+    sieving primes), once for each e >= 2 on those with p^e <= limit,
+    and once for e = 1 on those past sqrt(limit) (the large primes).  It
+    may return any sequence that numpy takes as the dtype.  In blocks of
+    _BLOCK entries, every sieving prime, in increasing order, multiplies
+    its multiples: by one scalar when its value is the same at every
+    power p^e <= limit, else by a pattern with the value at p^e at the
+    multiples of p^e.  Then each large prime P multiplies its value into
+    its multiples n = m P, batched by cofactor: m <= limit // P < P, and
+    for each m two searchsorted calls give the run of primes with m P in
     [lo, limit]; the runs are scattered in groups of _GROUP (m, P) pairs.
     Such a P is the largest prime of n and n has only one, so every
     entry takes its factors in increasing prime order and float tables
@@ -445,11 +453,10 @@ def multiplicative_table(limit: int, local, dtype=np.float64, *, lo: int = 0,
                          f"exceeds the 2^29-entry table guard")
     out = np.empty(limit - lo + 1, dtype=dtype)
     primes = primes_upto(cap)
+    primes = primes[_touched(primes, lo, limit)]
     n_small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
     large, small = primes[n_small:], primes[:n_small]
-    uprimes = small.astype(np.uint64)  # lo and block starts may pass 2^63 - 1
-    touched = (uprimes - np.uint64(lo) % uprimes) % uprimes <= limit - lo  # first multiple
-    small, uprimes = small[touched], uprimes[touched]
+    uprimes = small.astype(np.uint64)  # block starts may pass 2^63 - 1
     powers = []  # powers[e - 1]: the values at p^e of small[:count], those with p^e <= limit
     patterned = np.zeros(small.size, dtype=bool)  # some power's value differs from p's
     count, e = small.size, 1
@@ -510,11 +517,6 @@ def _prime_count_bound(x: int) -> int:
     return int(1.25506 * x / math.log(x)) + 1 if x > 1 else 0
 
 
-def _primes_bytes(limit: int) -> int:
-    """Peak bytes of primes_upto(limit): its flags plus the primes."""
-    return limit + 1 + 8 * _prime_count_bound(limit)
-
-
 def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: bool = True) -> int:
     """Peak bytes of multiplicative_table(limit, local, dtype, lo=lo,
     cap=cap) for an 8-byte dtype (float64, or object pointers) and the
@@ -522,55 +524,52 @@ def _table_bytes(limit: int, lo: int = 0, cap: int | None = None, patterned: boo
     largest of three stages whose temporaries never coexist.
 
     - The sieve's flags, cap + 1 bytes.
-    - The skip mask: 25 bytes per sieving prime (its uint64 copy, two
-      uint64 temporaries and the mask).
-    - The build: 1 byte per sieving prime (the mask, kept); 109 per
-      touched sieving prime, one with a multiple in the window (its
-      uint64 copy, its Python int, value and pattern flag in lists, and
-      its first multiple in a block with two temporaries); 88 per
-      touched prime with a multiple in the block (its index and offset,
-      as arrays and as Python ints); unless local is not patterned
-      (the same value at every power), 40 per value at a power p^e,
-      e >= 2 (array and list), and one block's pattern scratch; 48 per
-      large prime, past sqrt(limit) (its value, and the two longdouble
-      arrays and the float64 gaps of _reciprocals, which the lists of
+    - The mask of _touched: 25 bytes per prime to cap (its uint64 copy,
+      two uint64 temporaries and the mask).
+    - The build: 197 per touched sieving prime, one with a multiple in
+      the window: 109 for its uint64 copy, its Python int, value and
+      pattern flag in lists, and its first multiple in a block with two
+      temporaries, and 88 for its index and offset in a block it hits,
+      as arrays and as Python ints; unless local is not patterned (the
+      same value at every power), 40 per value at a power p^e, e >= 2
+      (array and list), and one block's pattern scratch; 48 per large
+      prime, past sqrt(limit) (its value, and the two longdouble arrays
+      and the float64 gaps of _reciprocals, which the lists of
       _crs_table's exact ints stay below); 104 per cofactor (its run of
       primes, and its share of a scatter group's run arrays); and, when
       there is a cofactor, 32 bytes per pair of the one group built.
 
-    A run of L entries, the window or one block, has a multiple of every
-    prime up to L, and each entry has fewer than log2(limit) / log2(L)
-    prime factors above L, since such a prime exceeds
-    2^(bit_length(L) - 1).  When L is below the last sieving prime y,
-    the primes in (L, y] are charged at the smaller of that bound and
-    twice the number a run at a random place has on average,
-    L * sum_{L < p <= y} 1 / p < L (ln ln y - ln ln L + 1 / ln^2 L)
-    (Mertens' theorem with Rosser and Schoenfeld's error terms).  The
-    bound alone is about six times the touched primes of a short window
-    far out, so the average, not a proof, is charged there."""
-
-    def touching(run: int) -> int:  # sieving primes with a multiple in a run
-        far = run * (limit.bit_length() // max(1, run.bit_length() - 1))
-        if 3 <= run < top:
-            ln = math.log(run)
-            far = min(far, math.ceil(2 * run * (math.log(math.log(top)) - math.log(ln) + ln**-2)))
-        return min(sieving, _prime_count_bound(run) + far)
-
+    The sieving primes, those to top = min(sqrt(limit), cap), are
+    counted exactly, and so are the touched ones, by the build's own
+    test (_touched), both from the process-wide trial primes
+    (_trial_primes), which reach 10^6.  That covers every sieving prime
+    of a table this package charges: a Jordan-ratio window has none past
+    _factor_cap(3, hi) <= 2^18 + 1, and a table from 0 that the 2^29-entry
+    guard admits has none past isqrt(2^29) < 23,171.  Only a table from 0
+    has a top past 10^6 here, and it has more than 10^12 entries, whose
+    8 bytes an entry alone are over the memory ceiling.  Each block is
+    charged for every touched sieving prime: an upper bound, exact for a
+    window of one block and for a window whose every block has a
+    multiple of every sieving prime.  The large primes, past the
+    sieving ones, and the cofactors are bounded, not counted, so a short
+    window far out may be charged several times its peak."""
     cap = limit if cap is None else cap
     entries, root = limit - lo + 1, math.isqrt(limit)
-    block, top = min(_BLOCK, entries), min(root, cap)
-    sieving = _prime_count_bound(top)
-    touched = touching(entries)
+    top = min(root, cap)
+    primes = np.asarray(_trial_primes(top))
+    primes = primes[: np.searchsorted(primes, min(top, _TRIAL_LIMIT), side="right")]
+    sieving, touched = primes.size, int(np.count_nonzero(_touched(primes, lo, limit)))
     # p^e <= limit < 2^bits puts p below 2^ceil(bits / e)
     bits = limit.bit_length()
     powers = sum(min(touched, _prime_count_bound(min(top, 1 << -(-bits // e))))
                  for e in range(2, bits)) if patterned else 0
-    large = _prime_count_bound(cap) if cap > root else 0
+    large = _prime_count_bound(cap) - sieving if cap > root else 0  # past sqrt(limit)
     cofactors = max(0, limit // (root + 1) - max(1, -(-lo // cap)) + 1) if large else 0
-    build = (sieving + 109 * touched + 88 * touching(block) + 40 * powers
-             + 4 * (block + 1) * patterned + 48 * large + 104 * cofactors
-             + 32 * min(_GROUP, entries) * (cofactors > 0))
-    return 8 * entries + 8 * _prime_count_bound(cap) + max(cap + 1, 25 * sieving, build)
+    block = min(_BLOCK, entries)
+    build = (197 * touched + 40 * powers + 4 * (block + 1) * patterned + 48 * large
+             + 104 * cofactors + 32 * min(_GROUP, entries) * (cofactors > 0))
+    return (8 * entries + 8 * _prime_count_bound(cap)
+            + max(cap + 1, 25 * (sieving + large), build))
 
 
 _CHUNK = 1 << 16  # floats per fsum or exact chunk sum: fixes the reduction order

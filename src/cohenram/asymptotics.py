@@ -46,7 +46,6 @@ from .arith import (
     _over_guard,
     _power,
     _prime_count_bound,
-    _primes_bytes,
     _reciprocals,
     _table_bytes,
     multiplicative_table,
@@ -259,19 +258,22 @@ def lhs_sum(query: AsymptoticQuery) -> list[tuple[int, float]]:
     The ratios come from float64 tables over the windows that are
     summed, about [1, N] and [h+1, h+N] (see _lhs_windows), one per
     distinct window, so their memory does not depend on h; _ratio_array
-    gives their error bound.  The charge counts 8 bytes per entry of
-    each distinct window plus the temporaries of one block build or of
-    one summation chunk, whichever is larger (see _lhs_plan, which also
-    refuses a huge shift first).  Each chunk of at most _CHUNK products
-    is formed in one buffer allocated per call, then summed exactly
-    and rounded once by _chunk_sum, which needs every product in
-    [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so a, b >= 3 and
-    every ratio is at least 1/zeta(3) > 0.83.  Each checkpoint is the
-    fsum of the chunk sums so far, so results are identical run to run.
+    gives their error bound.  The charge, checked before any table is
+    built, counts 8 bytes per entry of each distinct window, the
+    temporaries of one block build or of one summation chunk, whichever
+    is larger (see _lhs_plan, which also refuses a huge shift first),
+    and _CALL_BYTES for the call's small objects.  Each chunk of at most
+    _CHUNK products is formed in one buffer allocated per call, then
+    summed exactly and rounded once by _chunk_sum, which needs every
+    product in [1/2, 1]: the query has s >= 2 and a, b > 1 + s/2, so
+    a, b >= 3 and every ratio is at least 1/zeta(3) > 0.83.  Each
+    checkpoint is the fsum of the chunk sums so far, so results are
+    identical run to run.
     """
     h, N = query.h, query.N
     wa, wb, tables, temps = _lhs_plan(query)
-    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]", tables + temps)
+    _check_budget(f"jordan tables for [1, {N}] and [{h + 1}, {h + N}]",
+                  tables + temps + _CALL_BYTES)
     ra = _ratio_array(*wa)
     rb = _ratio_array(*wb)
     shift = h - wb[1]  # n + h sits at index n + shift of rb
@@ -291,15 +293,6 @@ def lhs_sum(query: AsymptoticQuery) -> list[tuple[int, float]]:
         out.append((mark, math.fsum(chunk_sums)))
         prev = mark + 1
     return out
-
-
-def _product_bytes(c: int, P: int) -> int:
-    """Peak bytes of _euler_product(c, P, local): the sieve's flags and
-    int64 primes to _factor_cap(c, P), where its loop stops, and the
-    list of Python ints that loop reads (an 8-byte slot and a 28-byte
-    int per prime); local yields the factors one at a time."""
-    cap = _factor_cap(c, P)
-    return _primes_bytes(cap) + 36 * _prime_count_bound(cap)
 
 
 def _euler_product(c: int, P: int, local) -> tuple[float, float]:
@@ -353,32 +346,22 @@ def rhs_product(query: AsymptoticQuery, level: int) -> EulerProductResult:
                               f"1 - p^-{t + a} - p^-{t + b}")
 
 
-def _verify_bytes(query: AsymptoticQuery) -> int:
-    """Peak bytes asymptotic_verify charges: lhs_sum's tables, which its
-    cache keeps alive while the product runs, plus the larger of their
-    temporaries and the product's primes (_product_bytes), plus the
-    call's own small objects.  factorize's table of trial primes, which
-    grows on demand to at most 78,498 primes (0.63 MB) and lives for the
-    whole process, is outside the charge."""
-    _, _, tables, temps = _lhs_plan(query)
-    c = query.s + min(query.a, query.b)
-    return tables + max(temps, _product_bytes(c, query.prime_cutoff)) + _CALL_BYTES
-
-
 def asymptotic_verify(query: AsymptoticQuery, tolerance: float = 0.02) -> AsymptoticReport:
     """Assemble the full report: summation checkpoints, product, ratios.
 
     converged means the final |ratio - 1| is below tolerance and
     |ratio - 1| did not increase across the last two checkpoints.
-    _verify_bytes is charged before anything is built.  The tolerance
-    must be finite and positive: NaN has no JSON form, and at infinity
+    The one charge is lhs_sum's, checked before anything is built.  The
+    Euler product runs after it, and is bounded by construction: the
+    query has s >= 2 and a, b >= 3, so c = s + min(a, b) >= 5, and the
+    product visits the primes to _factor_cap(c, P) <= 1783, at most 276
+    of them, about 15 KB of flags, primes and lists, within the
+    _CALL_BYTES that charge holds for small objects.  The tolerance must
+    be finite and positive: NaN has no JSON form, and at infinity
     converged would ignore the ratio.
     """
     if not 0 < tolerance < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {tolerance}")
-    _check_budget(f"jordan tables for [1, {query.N}] and [{query.h + 1}, "
-                  f"{query.h + query.N}] and the Euler product to "
-                  f"P = {query.prime_cutoff}", _verify_bytes(query))
     checkpoints = tuple(lhs_sum(query))
     rhs = rhs_product(query, query.s)
     ratios = []
@@ -452,13 +435,14 @@ def main_term(s: int, a: int, b: int, h: int, R: int) -> tuple[float, float]:
     AsymptoticQuery, the peak bytes, all alive at once, are charged: the
     coefficient tables, the c_r^s(h) table with 48 bytes per ~32-byte
     int, the weights and their support, 80 bytes per term of the chunk
-    fsum reads, the product's primes to R and the call's small objects.
-    The product, which refuses exponents past the float range, runs
-    before any table is built."""
+    fsum reads and the call's small objects.  The product, which refuses
+    exponents past the float range, runs before any table is built; it
+    is not charged, since it visits at most the 276 primes to 1783 (see
+    asymptotic_verify)."""
     query = AsymptoticQuery(s, a, b, h, 1, R)
     _check_budget(f"main-term tables to R = {R}",
                   (2 if b == a else 3) * _table_bytes(R) + 48 * R + 80 * min(R, _CHUNK)
-                  + _product_bytes(s + min(a, b), R) + _CALL_BYTES)
+                  + _CALL_BYTES)
     product = rhs_product(query, s).value
     fa = expansion_coefficients(s, a, R)
     fb = fa if b == a else expansion_coefficients(s, b, R)

@@ -409,6 +409,7 @@ def test_local_runs_once_per_exponent_on_touched_primes():
     # a far window: local sees, once for e = 1, exactly the sieving
     # primes with a multiple in [lo, limit], then once for each e >= 2
     # those with p^e <= limit, then once the primes in (sqrt(limit), cap]
+    # with a multiple in [lo, limit], a few of them
     lo, limit, cap = 10**9, 10**9 + 999, 40000
     calls = []
 
@@ -425,7 +426,9 @@ def test_local_runs_once_per_exponent_on_touched_primes():
     assert calls[0] == (1, touched)
     powers = [(e, [p for p in touched if p**e <= limit]) for e in range(2, limit.bit_length())]
     assert calls[1:-1] == [(e, ps) for e, ps in powers if ps]
-    assert calls[-1] == (1, [p for p in primes_upto(cap).tolist() if p > root])
+    large = [p for p in primes_upto(cap).tolist() if p > root]
+    assert calls[-1] == (1, [p for p in large if -lo % p <= limit - lo])
+    assert 0 < len(calls[-1][1]) < len(large) // 10
     assert mu.tolist() == [mobius(math.prod(p**e for p, e in factorize(n) if p <= cap))
                            for n in range(lo, limit + 1)]
 

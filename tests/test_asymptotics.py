@@ -4,8 +4,9 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -27,8 +28,10 @@ from cohenram.asymptotics import (
 from cohenram import arith, asymptotics, cli
 from cohenram.asymptotics import (
     _CHUNK, _chunk_sum, _crs_table, _euler_product, _factor_cap, _lhs_plan, _lhs_windows,
-    _ratio_array, _ratio_factors, _verify_bytes)
-from cohenram.arith import _MEMORY_LIMIT, _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError
+    _ratio_array, _ratio_factors)
+from cohenram.arith import (
+    _CALL_BYTES, _MEMORY_LIMIT, _TABLE_LIMIT, InternalAssertionError, MemoryBudgetError,
+    _table_bytes)
 
 
 def naive_lhs(a, b, h, N):
@@ -146,7 +149,8 @@ def test_table_guard_admits_what_the_sieve_guard_admits(a, b, h):
         mid = (first + last + 1) // 2
         first, last = (mid, last) if admitted(mid) else (first, mid - 1)
     assert admitted(first) and not admitted(first + 1)
-    assert _verify_bytes(AsymptoticQuery(2, a, b, h, first)) <= _MEMORY_LIMIT
+    _, _, tables, temps = _lhs_plan(AsymptoticQuery(2, a, b, h, first))
+    assert tables + temps + _CALL_BYTES <= _MEMORY_LIMIT
 
 
 def test_lhs_memory_budget(monkeypatch):
@@ -600,12 +604,14 @@ def test_verify_shift_reduction_recheck():
 _PEAK_SCRIPT = """
 import sys, tracemalloc
 from cohenram import arith
-from cohenram.asymptotics import AsymptoticQuery, _verify_bytes, asymptotic_verify
+from cohenram.asymptotics import AsymptoticQuery, _lhs_plan, asymptotic_verify
 query = AsymptoticQuery(*map(int, sys.argv[1:]))
 arith._trial_primes()  # lives for the whole process, outside the charge
 tracemalloc.start()
 asymptotic_verify(query)
-print(tracemalloc.get_traced_memory()[1], _verify_bytes(query))
+peak = tracemalloc.get_traced_memory()[1]
+_, _, tables, temps = _lhs_plan(query)  # the one charge the call makes
+print(peak, tables + temps + arith._CALL_BYTES)
 """
 
 
@@ -626,6 +632,58 @@ def test_verify_charge_covers_the_traced_peak(key):
     peak, charge = map(int, proc.stdout.split())
     assert peak <= charge
     assert charge <= 2 * peak
+
+
+# the charge of one Jordan-ratio window covers its traced build peak at
+# random places and lengths: near 0, with large primes and their
+# cofactors, and far out, where a short window has a multiple of few of
+# its sieving primes
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(3, 5), lo=st.integers(0, 2**20) | st.integers(2**20, 2**40),
+       length=st.integers(1, 2 * 10**5))
+def test_window_charge_covers_the_traced_build_peak(k, lo, length):
+    hi = lo + length - 1
+    arith._trial_primes()  # lives for the whole process, outside the charge
+    tracemalloc.start()
+    try:
+        _ratio_array.__wrapped__(k, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _table_bytes(hi, lo, _factor_cap(k, hi), patterned=False) + _CALL_BYTES
+
+
+def test_every_query_has_a_product_of_few_primes():
+    # asymptotic_verify and main_term charge no Euler product: a query has
+    # s >= 2 and a, b >= 3, so the product stops at the primes to 1783
+    admitted = 0
+    for s, a, b in product(range(1, 13), repeat=3):
+        try:
+            AsymptoticQuery(s, a, b, 1, 1)
+        except ValueError:
+            continue
+        admitted += 1
+        assert _factor_cap(s + min(a, b), 10**100) <= 1783, (s, a, b)
+    assert admitted > 0 and primes_upto(1783).size == 276
+
+
+def test_verify_charges_once_before_any_table_or_product(monkeypatch):
+    # the one charge, lhs_sum's, refuses before a table or the product runs
+    query = AsymptoticQuery(2, 3, 3, 12, 10)
+    _, _, tables, temps = _lhs_plan(query)
+    charges, ran = [], []
+
+    def check(what, need):
+        charges.append(need)
+        arith._check_budget(what, need)
+
+    monkeypatch.setattr(arith, "_MEMORY_LIMIT", 1000)
+    monkeypatch.setattr(asymptotics, "_check_budget", check)
+    monkeypatch.setattr(asymptotics, "_ratio_array", lambda *window: ran.append(window))
+    monkeypatch.setattr(asymptotics, "rhs_product", lambda *args: ran.append(args))
+    with pytest.raises(MemoryBudgetError, match="ceiling"):
+        asymptotic_verify(query)
+    assert charges == [tables + temps + _CALL_BYTES] and ran == []
 
 
 def test_report_serialization(capsys):

@@ -2,8 +2,9 @@
 a name it never uses, every name exported through __all__ exists, every
 private top-level name is read somewhere in the package, every public
 function is read outside its own module, every memo is bounded, nothing
-reads the environment, cli charges no table, and every code name and
-test the README cites exists."""
+reads the environment, cli charges no table, one test decides which
+primes touch a window, and every code name and test the README cites
+exists."""
 
 import ast
 import importlib
@@ -288,6 +289,51 @@ def test_cli_charges_nothing():
     # every table is charged by one formula next to its builder in the
     # library; a charge computed in cli would drift from the build it covers
     assert _charges(ast.parse((SRC / "cli.py").read_text())) == []
+
+
+def _is_window_span(node):
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and [getattr(node.left, "id", None), getattr(node.right, "id", None)]
+            == ["limit", "lo"])
+
+
+def _window_tests(tree):
+    """The top-level definitions of tree (<module> for a bare statement)
+    that compare a value with limit - lo: a first multiple tested
+    against the window."""
+    return sorted({getattr(node, "name", "<module>") for node in tree.body
+                   for n in ast.walk(node) if isinstance(n, ast.Compare)
+                   and any(map(_is_window_span, [n.left, *n.comparators]))})
+
+
+def _callers(tree, name):
+    """The top-level functions of tree that call name."""
+    return sorted(node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+                  and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                          and n.func.id == name for n in ast.walk(node)))
+
+
+@pytest.mark.parametrize("source, tests", [
+    ("def f(p, lo, limit):\n    return -lo % p <= limit - lo", ["f"]),
+    ("def f(p, lo, limit):\n    return limit - lo >= p", ["f"]),
+    ("x = first < limit - lo", ["<module>"]),
+    ("def f(lo, limit):\n    return max(limit - lo, 1) >= 2", []),  # not the span itself
+    ("def f(start, stop):\n    return first < stop - start", []),  # a block, not the window
+    (ARITH + "\ndef g(p, lo, limit):\n    return (p - lo % p) % p <= limit - lo\n",
+     ["_touched", "g"]),
+], ids=["touched", "reversed", "module", "inside-a-call", "block", "planted"])
+def test_window_test_check(source, tests):
+    assert _window_tests(ast.parse(source)) == tests
+
+
+def test_one_window_test():
+    # the build and its charge decide which primes have a multiple in the
+    # window by one test, so the charge counts exactly the primes the
+    # build visits
+    trees = {m: ast.parse((SRC / f"{m}.py").read_text()) for m in MODULES}
+    assert {m: _window_tests(t) for m, t in trees.items() if _window_tests(t)} == {
+        "arith": ["_touched"]}
+    assert _callers(trees["arith"], "_touched") == ["_table_bytes", "multiplicative_table"]
 
 
 TESTS = Path(__file__).parent
